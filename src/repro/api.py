@@ -37,19 +37,16 @@ Four layers sit underneath:
 Traces themselves round-trip through versioned gzip-JSON files
 (:func:`save_trace`/:func:`load_trace`, ``repro trace`` on the command
 line), so expensive workloads are generated once and replayed.
-
-``repro.core.processor.Processor`` and ``simulate`` remain as
-deprecation shims over this module.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .common.config import ProcessorConfig, SamplingPlan
 from .common.stats import StatsRegistry
+from .common.tracing import NULL_TRACER
 from .core.probes import CallbackProbe, OccupancyProbe, Probe
 from .core.registry_machines import (
     MachineSpec,
@@ -189,21 +186,16 @@ class Simulation:
     def run(self, trace: Trace, max_cycles: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion (or early stop) on a fresh pipeline."""
         probes = self.probes
-        tracer = None
+        tracer = NULL_TRACER
         if self.telemetry is not None:
             probes = [*probes, *self.telemetry.probes()]
             tracer = self.telemetry.tracer
-        span = (
-            tracer.span(
-                f"simulate:{trace.name}",
-                category="simulate",
-                machine=self.config.name or self.config.mode,
-                instructions=len(trace),
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
+        with tracer.span(
+            f"simulate:{trace.name}",
+            category="simulate",
+            machine=self.config.name or self.config.mode,
+            instructions=len(trace),
+        ):
             if self.sampling is not None:
                 return run_sampled(
                     self.config,

@@ -7,9 +7,8 @@ from .fu import ExecutionUnits, FunctionalUnitPool
 from .iq import InstructionQueue, WakeupNetwork
 from .lsq import LoadStoreQueue
 from .machines import PerfectL2Pipeline, UnboundedROBPipeline
-from .pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase, build_pipeline
+from .pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase
 from .probes import CallbackProbe, OccupancyProbe, Probe, default_probes
-from .processor import Processor, average_ipc, simulate
 from .pseudo_rob import PseudoROB
 from .regfile import PhysicalPool, PhysicalRegisterFile
 from .registry_machines import (
@@ -22,7 +21,7 @@ from .registry_machines import (
     unregister_machine,
 )
 from .rename_map import MapTableRenamer
-from .result import SimulationResult, build_result
+from .result import SimulationResult, average_ipc, build_result
 from .rob import ReorderBuffer
 from .sliq import LongLatencyTracker, SlowLaneQueue
 
@@ -54,10 +53,7 @@ __all__ = [
     "BaselinePipeline",
     "OoOCommitPipeline",
     "PipelineBase",
-    "build_pipeline",
-    "Processor",
     "average_ipc",
-    "simulate",
     "PseudoROB",
     "PhysicalPool",
     "PhysicalRegisterFile",

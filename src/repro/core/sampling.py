@@ -27,11 +27,11 @@ serial driver:
 
 * **Parallel windows** (``parallel_windows=N`` /  ``--sample-jobs N``):
   the windows fan out across a supervised
-  :class:`~repro.robustness.pool.ResilientPool`, each worker simulating
-  one window and returning its cycle attribution plus a raw statistics
+  :class:`~repro.robustness.pool.ResilientPool`.  Serial or parallel,
+  one window function simulates a window against its own statistics
+  registry and returns its cycle attribution plus the registry's raw
   dump; the parent reduces the dumps in window order, so the result —
-  windows, IPC, CI, every statistic — is bit-identical to the serial
-  driver.
+  windows, IPC, CI, every statistic — does not depend on the driver.
 * **Reusable warm-state checkpoints** (``checkpoint_dir=``): the
   snapshots are persisted as a sha256-keyed
   :class:`~repro.trace.io.WarmCheckpoint` file.  The key covers only
@@ -53,7 +53,6 @@ and never change the result, only where the time is spent.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchTargetBuffer
@@ -61,6 +60,7 @@ from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.eviction import evict_lru
 from ..common.stats import StatsRegistry, ratio
+from ..common.tracing import NULL_TRACER
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.io import CHECKPOINT_SUFFIX, WarmCheckpoint
 from ..trace.trace import Trace
@@ -70,7 +70,7 @@ from .result import SimulationResult
 
 #: Functional warm-up passes executed by this process (tests assert that
 #: checkpoint reuse makes an N-machine sweep warm up once, mirroring the
-#: ``TRACE_BUILDS`` counter in :mod:`repro.experiments.sweep`).
+#: ``TRACE_BUILDS`` counter in :mod:`repro.experiments.runner`).
 WARM_PASSES = 0
 
 
@@ -239,7 +239,7 @@ def _run_continuous(
     max_cycles: Optional[int] = None,
     progress=None,
     progress_interval: int = 8192,
-    tracer=None,
+    tracer=NULL_TRACER,
 ) -> SimulationResult:
     """Fully-detailed degenerate case: window attribution over one exact run.
 
@@ -256,12 +256,7 @@ def _run_continuous(
     )
     total = len(trace)
     marks = list(range(plan.window, total, plan.window))
-    span = (
-        tracer.span("sampling:window", category="sampling", start=0, instructions=total)
-        if tracer is not None
-        else nullcontext()
-    )
-    with span:
+    with tracer.span("sampling:window", category="sampling", start=0, instructions=total):
         result = pipeline.run(
             max_cycles=max_cycles,
             progress=progress,
@@ -287,7 +282,7 @@ def _functional_pass(
     trace: Trace,
     segments: Sequence[Tuple[int, int, int]],
     stats: StatsRegistry,
-    tracer=None,
+    tracer=NULL_TRACER,
 ) -> Tuple[List[int], List[Dict[str, Any]]]:
     """One functional pass over the whole trace, snapshotting at boundaries.
 
@@ -306,16 +301,9 @@ def _functional_pass(
     position = 0
     for skip, warmup, measure in segments:
         detailed = warmup + measure
-        span = (
-            tracer.span(
-                "sampling:fast-forward",
-                category="sampling",
-                instructions=skip + detailed,
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
+        with tracer.span(
+            "sampling:fast-forward", category="sampling", instructions=skip + detailed
+        ):
             if skip:
                 position = warmer.fast_forward(trace, position, skip)
             if detailed:
@@ -330,7 +318,7 @@ def _warm_snapshots(
     trace: Trace,
     plan: SamplingPlan,
     segments: Sequence[Tuple[int, int, int]],
-    tracer=None,
+    tracer=NULL_TRACER,
     checkpoint_dir=None,
     checkpoint_max_bytes: Optional[int] = None,
 ) -> Tuple[List[int], List[Dict[str, Any]], Dict[str, list]]:
@@ -354,12 +342,7 @@ def _warm_snapshots(
     key = None
     if checkpoint_dir is not None:
         key = warmstate.checkpoint_key(trace.digest(), plan, effective)
-        span = (
-            tracer.span("sampling:checkpoint-load", category="sampling", key=key)
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
+        with tracer.span("sampling:checkpoint-load", category="sampling", key=key):
             checkpoint = warmstate.load_matching_checkpoint(checkpoint_dir, key)
         if (
             checkpoint is not None
@@ -393,12 +376,7 @@ def _warm_snapshots(
             snapshots=snapshots,
             warm_stats=warm_dump,
         )
-        span = (
-            tracer.span("sampling:checkpoint-save", category="sampling", key=key)
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
+        with tracer.span("sampling:checkpoint-save", category="sampling", key=key):
             warmstate.store_checkpoint(checkpoint_dir, checkpoint)
             evict_lru(checkpoint_dir, checkpoint_max_bytes, CHECKPOINT_SUFFIX)
     return boundaries, snapshots, warm_dump
@@ -437,7 +415,13 @@ def warm_checkpoint(
     key = warmstate.checkpoint_key(trace.digest(), plan, effective)
     before = WARM_PASSES
     _warm_snapshots(
-        effective, trace, plan, segments, tracer, checkpoint_dir, checkpoint_max_bytes
+        effective,
+        trace,
+        plan,
+        segments,
+        tracer or NULL_TRACER,
+        checkpoint_dir,
+        checkpoint_max_bytes,
     )
     return warmstate.checkpoint_path(checkpoint_dir, key), key, WARM_PASSES == before
 
@@ -464,8 +448,7 @@ def _execute_window(
     Builds fresh warm structures against ``stats``, restores the
     snapshot, and runs the window's pipeline over its trace slice.
     Returns the scalars the parent needs for commit-watermark cycle
-    attribution; the caller owns how ``stats`` is aggregated (shared
-    registry when serial, per-window dump/merge when parallel).
+    attribution; the caller owns how ``stats`` is aggregated.
     """
     detailed = warmup + measure
     segment_trace = trace.slice(start, start + detailed)
@@ -494,112 +477,99 @@ def _execute_window(
     }
 
 
-#: Fork-inherited job description for the window worker pool.  Set by
-#: :func:`_run_windows_parallel` immediately before the pool forks its
-#: workers (the same pattern the sweep engine uses for worker traces),
-#: so task payloads stay a single window index.
-_WINDOW_JOB: Optional[Dict[str, Any]] = None
-
-
-def _window_worker(payload, attempt: int) -> Dict[str, Any]:
-    """Pool worker: simulate window ``payload`` and return its raw results.
-
-    Runs against a worker-local :class:`StatsRegistry` whose
-    ``dump_state()`` travels back with the cycle attribution; the parent
-    merges the dumps in window order, reproducing a shared registry
-    bit-exactly.
-    """
-    job = _WINDOW_JOB
-    if job is None:  # pragma: no cover - guards a mis-wired pool
-        raise SimulationError("window worker started without a job description")
-    index = int(payload)
-    injector = job.get("injector")
-    if injector is not None:
-        injector.crash_point(f"{job['trace'].name}:{index}:a{attempt}")
-    start, warmup, measure = job["windows"][index]
-    stats = StatsRegistry()
-    outcome = _execute_window(
-        job["config"],
-        job["effective"],
-        job["trace"],
-        start,
-        warmup,
-        measure,
-        job["snapshots"][index],
-        stats,
-        default_probes=job["default_probes"],
-        force_per_cycle=job["force_per_cycle"],
-        max_cycles=job["max_cycles"],
-    )
-    outcome["stats"] = stats.dump_state()
-    return outcome
-
-
-def _run_windows_parallel(
+def _run_windows(
     config: ProcessorConfig,
     effective: ProcessorConfig,
     trace: Trace,
     window_segments: Sequence[Tuple[int, int, int]],
     snapshots: Sequence[Dict[str, Any]],
-    jobs: int,
     stats: StatsRegistry,
     *,
-    default_probes: bool = True,
-    force_per_cycle: bool = False,
-    max_cycles: Optional[int] = None,
-    injector=None,
-    tracer=None,
+    jobs: int,
+    probes: Sequence,
+    default_probes: bool,
+    force_per_cycle: bool,
+    max_cycles: Optional[int],
+    progress,
+    progress_interval: int,
+    injector,
+    tracer,
 ) -> List[Dict[str, Any]]:
-    """Fan the detailed windows out across a supervised worker pool.
+    """Simulate every detailed window; returns their outcomes in window order.
 
-    Workers are forked after ``_WINDOW_JOB`` is published, inherit the
-    trace and snapshots by memory, and each return one window's scalars
-    plus a statistics dump.  Crashed or hung workers are respawned and
-    their windows retried (windows are deterministic, so a retry
-    reproduces the lost result exactly); a window that keeps failing
-    raises :class:`SimulationError`.  Returns the per-window outcome
-    dicts in window order after merging every dump into ``stats``.
+    One window function serves both drivers.  It simulates a window
+    against its own :class:`StatsRegistry` and returns the cycle
+    attribution plus the registry's ``dump_state()``; the dumps are
+    merged into ``stats`` in window order, reproducing a shared
+    registry bit-exactly.  The serial loop calls it in turn and lets a
+    window's exception propagate unchanged.  With ``jobs > 1`` it is
+    the task function of a :class:`~repro.robustness.pool.ResilientPool`
+    whose forked workers inherit the trace and snapshots by memory:
+    crashed or hung workers are respawned and their windows retried
+    (windows are deterministic, so a retry reproduces the lost result
+    exactly), and a window that keeps failing raises
+    :class:`SimulationError`.
     """
-    global _WINDOW_JOB
-    from ..robustness.pool import ResilientPool
 
-    indices = list(range(len(window_segments)))
-    _WINDOW_JOB = {
-        "config": config,
-        "effective": effective,
-        "trace": trace,
-        "windows": list(window_segments),
-        "snapshots": list(snapshots),
-        "default_probes": default_probes,
-        "force_per_cycle": force_per_cycle,
-        "max_cycles": max_cycles,
-        "injector": injector,
-    }
-    try:
-        pool = ResilientPool(_window_worker, workers=min(jobs, len(indices)))
-        span = (
-            tracer.span(
-                "sampling:parallel-windows",
-                category="sampling",
-                windows=len(indices),
-                workers=min(jobs, len(indices)),
+    def window(index: int, attempt: int = 0) -> Dict[str, Any]:
+        if injector is not None:
+            injector.crash_point(f"{trace.name}:{index}:a{attempt}")
+        start, warmup, measure = window_segments[index]
+        window_stats = StatsRegistry()
+        outcome = _execute_window(
+            config,
+            effective,
+            trace,
+            start,
+            warmup,
+            measure,
+            snapshots[index],
+            window_stats,
+            probes=probes,
+            default_probes=default_probes,
+            force_per_cycle=force_per_cycle,
+            max_cycles=max_cycles,
+            progress=progress,
+            progress_interval=progress_interval,
+        )
+        outcome["stats"] = window_stats.dump_state()
+        return outcome
+
+    indices = range(len(window_segments))
+    if jobs > 1 and len(indices) > 1:
+        from ..robustness.pool import ResilientPool
+
+        workers = min(jobs, len(indices))
+        with tracer.span(
+            "sampling:parallel-windows",
+            category="sampling",
+            windows=len(indices),
+            workers=workers,
+        ):
+            pool_outcome = ResilientPool(window, workers).run(
+                [(index, index, trace.name) for index in indices]
             )
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
-            pool_outcome = pool.run([(index, index, trace.name) for index in indices])
-    finally:
-        _WINDOW_JOB = None
-    if pool_outcome.failures:
-        failure = next(iter(pool_outcome.failures.values()))
-        raise SimulationError(
-            f"{len(pool_outcome.failures)} sampled window(s) failed in the "
-            f"worker pool (first: window {failure.task_id}: {failure.error})"
-        )
-    outcomes = [pool_outcome.results[index] for index in indices]
+        if pool_outcome.failures:
+            failure = next(iter(pool_outcome.failures.values()))
+            raise SimulationError(
+                f"{len(pool_outcome.failures)} sampled window(s) failed in the "
+                f"worker pool (first: window {failure.task_id}: {failure.errors[-1]})"
+            )
+        outcomes = [pool_outcome.results[index] for index in indices]
+    else:
+        outcomes = []
+        for index in indices:
+            start, warmup, measure = window_segments[index]
+            with tracer.span(
+                "sampling:window",
+                category="sampling",
+                start=start,
+                warmup=warmup,
+                instructions=warmup + measure,
+            ):
+                outcomes.append(window(index))
     for outcome in outcomes:
-        stats.merge_state(outcome["stats"])
+        stats.merge_state(outcome.pop("stats"))
     return outcomes
 
 
@@ -657,6 +627,8 @@ def run_sampled(
     """
     config.validate()
     plan.validate()
+    if tracer is None:
+        tracer = NULL_TRACER
     segments = plan.schedule(len(trace))
     if plan.fast_forward_per_period == 0 or not any(
         measure for _skip, _warm, measure in segments
@@ -704,62 +676,30 @@ def run_sampled(
         )
     ]
     jobs = int(parallel_windows or 0)
-    use_parallel = jobs > 1 and len(window_segments) > 1
-    if use_parallel and (probes or progress is not None):
+    if jobs > 1 and len(window_segments) > 1 and (probes or progress is not None):
         raise ConfigurationError(
             "parallel sampled windows cannot carry probes or progress "
             "callbacks across worker processes; drop them or run with "
             "parallel_windows=1"
         )
 
-    if use_parallel:
-        outcomes = _run_windows_parallel(
-            config,
-            effective,
-            trace,
-            window_segments,
-            snapshots,
-            jobs,
-            stats,
-            default_probes=default_probes,
-            force_per_cycle=force_per_cycle,
-            max_cycles=max_cycles,
-            injector=injector,
-            tracer=tracer,
-        )
-    else:
-        outcomes = []
-        for (start, warmup, measure), snapshot in zip(window_segments, snapshots):
-            window_span = (
-                tracer.span(
-                    "sampling:window",
-                    category="sampling",
-                    start=start,
-                    warmup=warmup,
-                    instructions=warmup + measure,
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            with window_span:
-                outcomes.append(
-                    _execute_window(
-                        config,
-                        effective,
-                        trace,
-                        start,
-                        warmup,
-                        measure,
-                        snapshot,
-                        stats,
-                        probes=probes,
-                        default_probes=default_probes,
-                        force_per_cycle=force_per_cycle,
-                        max_cycles=max_cycles,
-                        progress=progress,
-                        progress_interval=progress_interval,
-                    )
-                )
+    outcomes = _run_windows(
+        config,
+        effective,
+        trace,
+        window_segments,
+        snapshots,
+        stats,
+        jobs=jobs,
+        probes=probes,
+        default_probes=default_probes,
+        force_per_cycle=force_per_cycle,
+        max_cycles=max_cycles,
+        progress=progress,
+        progress_interval=progress_interval,
+        injector=injector,
+        tracer=tracer,
+    )
 
     windows: List[Dict[str, object]] = []
     measured_cycles = 0

@@ -10,7 +10,7 @@ the paper's figure reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.report import format_table
 from ..api import Simulation
@@ -25,7 +25,14 @@ from ..workloads.registry import get_suite
 #: large enough that windows of thousands of instructions can build up.
 DEFAULT_SCALE = 0.6
 
-_TRACE_CACHE: Dict[tuple, Dict[str, Trace]] = {}
+#: Per-process trace cache: (suite, rounded scale) -> workload -> Trace.
+#: Sweep workers and the in-process runner fill it one member at a time.
+_TRACE_CACHE: Dict[Tuple[str, float], Dict[str, Trace]] = {}
+
+#: Traces generated by this process (cache misses only).  Tests use it to
+#: assert that a filtered sweep builds only its members and that
+#: workload-major task ordering lets each worker's cache hit.
+TRACE_BUILDS = 0
 
 
 def suite_traces(
@@ -33,14 +40,29 @@ def suite_traces(
     suite: str = "spec2000fp_like",
     workloads: Optional[Sequence[str]] = None,
 ) -> Dict[str, Trace]:
-    """Build (and cache) the traces of a suite at the given scale."""
+    """The traces of a suite at ``scale``, built lazily and cached per process.
+
+    Only the requested members are generated.  ``workloads=None`` means
+    the whole suite, returned in suite order as the same dict on every
+    call.  Trace generation is deterministic (fixed seeds), so a trace
+    built in a worker equals one built in the parent.
+    """
+    global TRACE_BUILDS
     key = (suite, round(scale, 6))
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = get_suite(suite).build(scale)
-    traces = _TRACE_CACHE[key]
+    built = _TRACE_CACHE.setdefault(key, {})
+    members = {member.name: member for member in get_suite(suite)}
+    names = list(members) if workloads is None else list(workloads)
+    for name in names:
+        if name not in built:
+            if name not in members:
+                raise KeyError(f"unknown workload {name!r} in suite {suite!r}")
+            built[name] = members[name].build(scale)
+            TRACE_BUILDS += 1
     if workloads is not None:
-        traces = {name: traces[name] for name in workloads}
-    return traces
+        return {name: built[name] for name in names}
+    if list(built) != names:  # members were built out of suite order
+        built = _TRACE_CACHE[key] = {name: built[name] for name in names}
+    return built
 
 
 def run_config(

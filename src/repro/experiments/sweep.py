@@ -11,11 +11,12 @@ infrastructure:
     configurations crossed with the workloads of a suite at a scale.
 
 :class:`SweepEngine`
-    Executes a spec either serially (``jobs=1``, bit-identical to the
-    pre-engine per-figure loops) or on a fault-tolerant process pool
-    (:class:`repro.robustness.ResilientPool`) with a configurable worker
-    count.  Results always come back in declared cell order regardless
-    of which worker finished first.
+    Executes a spec's uncached cells as :class:`CellTask`s on one
+    runner, the fault-tolerant :class:`repro.robustness.ResilientPool`:
+    ``jobs=1`` is its in-process mode (no fork, every cell in the
+    calling process), ``jobs>1`` forks that many workers.  Results are
+    bit-identical either way and always come back in declared cell
+    order, regardless of which worker finished first.
 
 :class:`ResultCache`
     A persistent cache of finished cells, keyed by a stable content hash
@@ -28,13 +29,13 @@ The engine is additionally hardened on :mod:`repro.robustness` — all of
 it strictly opt-in (a plain ``SweepEngine(jobs, cache)`` takes none of
 these paths and produces bit-identical results and cache keys):
 
-* ``cell_timeout`` arms a per-cell wall-clock watchdog — SIGALRM in
-  serial runs, parent-side deadline kills in parallel ones;
+* ``cell_timeout`` arms a per-cell wall-clock watchdog — SIGALRM
+  in-process, parent-side deadline kills for forked workers;
 * failed cells are retried under a :class:`~repro.robustness.RetryPolicy`
   and quarantined after the budget: the sweep *finishes*, reporting the
   holes in :attr:`SweepOutcome.failed_cells` instead of raising;
 * dead workers are detected and respawned, and the pool degrades to
-  serial in-parent execution when workers keep dying;
+  its in-process mode when workers keep dying;
 * a :class:`~repro.robustness.SweepJournal` records every finished cell
   durably, enabling ``resume=True`` (journaled cells are loaded from
   the cache, not re-simulated) and a clean Ctrl-C story: interruption
@@ -60,7 +61,6 @@ import hashlib
 import json
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -81,9 +81,10 @@ from ..api import Simulation
 from ..common import eviction
 from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import SweepInterrupted
+from ..common.tracing import NULL_TRACER
 from ..core.result import SimulationResult
-from ..robustness import FaultInjector, ResilientPool, RetryPolicy, SweepJournal, deadline
-from ..trace.trace import Trace
+from ..robustness import FaultInjector, ResilientPool, RetryPolicy, SweepJournal
+from ..robustness.faults import in_worker
 from ..workloads.registry import get_suite
 from .runner import DEFAULT_SCALE, suite_traces
 
@@ -385,145 +386,127 @@ class ResultCache:
 # Worker-side execution
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process trace cache: (suite, rounded scale) -> workload -> Trace.
-_WORKER_TRACES: Dict[Tuple[str, float], Dict[str, Trace]] = {}
-
-#: Per-worker-process handle on the persistent result cache (keyed by
-#: directory so a pool serving several engines keeps them distinct).
-_WORKER_CACHES: Dict[str, ResultCache] = {}
-
-#: Traces actually generated by this process's :func:`_worker_trace` (cache
-#: misses only).  Tests use it to assert that workload-major task ordering
-#: lets the per-worker cache hit instead of rebuilding every trace.
-TRACE_BUILDS = 0
-
-
-def _worker_trace(suite: str, scale: float, workload: str) -> Trace:
-    """Build (and cache per process) one workload's trace.
-
-    Trace generation is deterministic (fixed seeds), so a trace built in
-    a worker is identical to one built in the parent.
-    """
-    global TRACE_BUILDS
-    key = (suite, round(scale, 6))
-    per_suite = _WORKER_TRACES.setdefault(key, {})
-    if workload not in per_suite:
-        for member in get_suite(suite):
-            if member.name == workload:
-                per_suite[workload] = member.build(scale)
-                TRACE_BUILDS += 1
-                break
-        else:
-            raise KeyError(f"unknown workload {workload!r} in suite {suite!r}")
-    return per_suite[workload]
+#: Per-process handles on the persistent result cache, keyed by
+#: directory and size cap so a pool serving several engines keeps them
+#: distinct.
+_WORKER_CACHES: Dict[Tuple[str, Optional[int]], ResultCache] = {}
 
 
 def _worker_cache(cache_dir: str, max_bytes: Optional[int] = None) -> ResultCache:
     """Per-process handle on the persistent cache at ``cache_dir``.
 
-    Workers keep their own :class:`ResultCache` instance (with its own
+    Cells keep their own :class:`ResultCache` instance (with its own
     hit/miss counters) because cache objects don't travel across
     ``fork``/``spawn`` usefully — the parent aggregates the per-cell
-    counter deltas reported back in each task's meta dict.
+    counter deltas reported back in each task's meta dict, whether the
+    cell ran in a worker or in-process.
     """
-    if cache_dir not in _WORKER_CACHES:
-        _WORKER_CACHES[cache_dir] = ResultCache(cache_dir, max_bytes=max_bytes)
-    return _WORKER_CACHES[cache_dir]
+    key = (cache_dir, max_bytes)
+    if key not in _WORKER_CACHES:
+        _WORKER_CACHES[key] = ResultCache(cache_dir, max_bytes=max_bytes)
+    return _WORKER_CACHES[key]
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One pending cell as the pool runs it.
+
+    Tasks are pickled to forked workers.  In-process (``jobs=1``) the
+    same object runs in the parent, so ``injector`` there is the
+    engine's own and records its faults directly.
+    """
+
+    config: ProcessorConfig
+    suite: str
+    scale: float
+    workload: str
+    sampling: Optional[SamplingPlan] = None
+    #: The cell checks and fills the persistent cache itself when both
+    #: are set (another process may have finished it since the parent's
+    #: lookup), keeping stores off the parent's collection loop.
+    cache_dir: Optional[str] = None
+    cache_key: Optional[str] = None
+    cache_max_bytes: Optional[int] = None
+    injector: Optional[FaultInjector] = None
+    checkpoint_dir: Optional[str] = None
+    #: Window fan-out for a sampled cell; only set for in-process runs.
+    sample_jobs: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        """``config x workload``: the fault context and watchdog label."""
+        return f"{self.config.name or self.config.mode}x{self.workload}"
 
 
 def _simulate_cell(
-    task: Tuple[object, ...]
+    task: CellTask, attempt: int = 0
 ) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Pool worker entry point: rebuild the config, build the trace, run.
+    """Pool task function: build the trace, run the cell, store it.
 
-    ``task`` is ``(config_data, suite, scale, workload, sampling_data)``
-    optionally extended with ``(cache_dir, cache_key)``, further with
-    ``(fault_plan_data, fault_context)``, further with
-    ``(checkpoint_dir, cache_max_bytes)``, and finally with
-    ``(attempt,)``.  When the cache
-    fields are present the worker checks the persistent cache itself
-    (another process may have finished the cell since the parent's
-    lookup) and stores fresh results — keeping the store off the
-    parent's collection loop.  When a fault plan rides along, an
-    injector is rebuilt from it and offered every worker-side site; the
-    decision context carries the attempt number (``...:aN``), so a cell
-    that crashed on one attempt draws fresh on the next.  Returns
-    ``(result, meta)`` where ``meta`` reports the worker's pid, per-cell
-    wall-clock, whether the cell was a worker-side cache hit, and any
-    faults fired, so the parent can aggregate counters and reconstruct
-    per-worker utilization.
+    With an injector every cell-side fault site is offered; the decision
+    context carries the attempt number (``...:aN``), so a cell that
+    crashed on one attempt draws fresh on the next.  Returns ``(result,
+    meta)`` where ``meta`` reports the pid, per-cell wall-clock, whether
+    the cell was a cell-side cache hit, the cache traffic, and any
+    faults fired in a worker, so the parent can aggregate counters and
+    reconstruct per-worker utilization.
     """
-    config_data, suite, scale, workload, sampling_data = task[:5]
-    cache_dir = str(task[5]) if len(task) > 5 and task[5] else None
-    cache_key = str(task[6]) if len(task) > 6 and task[6] else None
-    plan_data = task[7] if len(task) > 7 else None
-    fault_context = str(task[8]) if len(task) > 8 and task[8] else f"{suite}:{workload}"
-    checkpoint_dir = str(task[9]) if len(task) > 9 and task[9] else None
-    cache_max_bytes = int(task[10]) if len(task) > 10 and task[10] is not None else None  # type: ignore[arg-type]
-    attempt = int(task[11]) if len(task) > 11 else 0  # type: ignore[arg-type]
-    injector = (
-        FaultInjector.from_dict(plan_data)  # type: ignore[arg-type]
-        if plan_data
+    injector, key = task.injector, task.cache_key
+    context = f"{task.label}:a{attempt}"
+    started = time.perf_counter()
+    cache = (
+        _worker_cache(task.cache_dir, task.cache_max_bytes)
+        if task.cache_dir and key
         else None
     )
-    context = f"{fault_context}:a{attempt}"
-    started = time.perf_counter()
-    cache = _worker_cache(cache_dir, cache_max_bytes) if cache_dir and cache_key else None
-    evictions_before = cache.evictions if cache is not None else 0
+    before = (cache.evictions, cache.evicted_bytes) if cache is not None else (0, 0)
     if injector is not None:
         injector.crash_point(context)
     result: Optional[SimulationResult] = None
     cache_hit = False
     try:
-        if cache is not None and injector is not None:
+        if cache is not None:
             cache.injector = injector
             cache.fault_context = context
-        if cache is not None and cache_key is not None:
-            result = cache.load(cache_key)
+            result = cache.load(key)
             cache_hit = result is not None
         if result is None:
-            config = ProcessorConfig.from_dict(config_data)  # type: ignore[arg-type]
-            sampling = SamplingPlan.from_dict(sampling_data) if sampling_data else None
-            if injector is not None:
-                injector.hang_point(context)
-            trace = _worker_trace(suite, scale, workload)
             probes: Tuple[object, ...] = ()
             if injector is not None:
+                injector.hang_point(context)
                 probe = injector.simulate_error_probe(context)
                 if probe is not None:
                     probes = (probe,)
+            trace = suite_traces(task.scale, task.suite, (task.workload,))[task.workload]
             result = Simulation(
-                config,
-                sampling=sampling,
+                task.config,
+                sampling=task.sampling,
                 probes=probes,
-                checkpoint_dir=checkpoint_dir if sampling is not None else None,
+                # Probes cannot cross window-worker processes, so a
+                # probed attempt drops the window fan-out.
+                sample_jobs=None if probes else task.sample_jobs,
+                checkpoint_dir=task.checkpoint_dir if task.sampling is not None else None,
             ).run(trace)
-            if cache is not None and cache_key is not None:
-                cache.store(cache_key, result)
+            if cache is not None:
+                cache.store(key, result)
     finally:
-        if cache is not None and injector is not None:
+        if cache is not None:
             cache.injector = None
             cache.fault_context = ""
+    after = (cache.evictions, cache.evicted_bytes) if cache is not None else (0, 0)
     meta: Dict[str, object] = {
         "pid": os.getpid(),
         "elapsed": time.perf_counter() - started,
         "cache_hit": cache_hit,
         "stored": cache is not None and not cache_hit,
-        "evictions": (cache.evictions - evictions_before) if cache is not None else 0,
+        "evictions": after[0] - before[0],
+        "evicted_bytes": after[1] - before[1],
     }
-    if injector is not None and injector.fired:
+    # In-process the injector is the engine's own; only a worker's
+    # pickled copy has fires the parent has not seen.
+    if injector is not None and injector.fired and in_worker():
         meta["faults"] = list(injector.fired)
     return result, meta
-
-
-def _cell_with_attempt(
-    task: Tuple[object, ...], attempt: int
-) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Resilient-pool adapter: pad the task tuple and append the attempt."""
-    padded = tuple(task)
-    if len(padded) < 11:
-        padded = padded + (None,) * (11 - len(padded))
-    return _simulate_cell(padded + (attempt,))
 
 
 def _workload_major(
@@ -535,7 +518,7 @@ def _workload_major(
 
     Specs enumerate config-major, which hands a round-robin pool one
     cell of *every* workload — each worker then rebuilds each trace
-    instead of hitting its per-process ``_WORKER_TRACES`` cache.
+    instead of hitting its per-process trace cache.
     Grouping all configs of one workload together (stable, so config
     order within a workload is preserved) makes consecutive tasks share
     a trace; results still land in declared order via ``cell.index``.
@@ -589,7 +572,7 @@ class SweepOutcome:
     #: Entries LRU-evicted from a size-capped cache during this sweep
     #: (parent- and worker-side stores combined).
     cache_evictions: int = 0
-    #: Sum of per-cell worker wall-clock (parallel runs only); divided by
+    #: Sum of per-cell wall-clock; for a parallel run, divided by
     #: ``elapsed * workers`` this is the pool utilization.
     worker_busy: float = 0.0
     #: One dict per quarantined cell: ``{"index", "config", "workload",
@@ -599,11 +582,11 @@ class SweepOutcome:
     retries: int = 0
     #: Cells loaded from cache because a resume journal recorded them.
     resumed: int = 0
-    #: Worker processes that died and were respawned (parallel only).
+    #: Worker processes that died and were respawned.
     worker_deaths: int = 0
     #: Cells killed by the per-cell wall-clock watchdog.
     timeouts: int = 0
-    #: True when the pool gave up on workers and finished serially.
+    #: True when the pool gave up on workers and finished in-process.
     degraded: bool = False
     _by_config: Dict[str, Dict[str, SimulationResult]] = field(default_factory=dict)
 
@@ -642,11 +625,12 @@ class SweepOutcome:
 class SweepEngine:
     """Executes :class:`SweepSpec`s, optionally in parallel and cached.
 
-    Every cell executes through :class:`repro.api.Simulation` (the
-    unified facade).  ``jobs=1`` runs in-process with the same trace
-    cache and per-config reuse as the original figure loops, so its
-    output is bit-identical to the pre-engine implementation.  ``jobs>1`` fans the
-    uncached cells out over a fault-tolerant process pool; because the
+    Every uncached cell runs as a :class:`CellTask` through
+    :func:`_simulate_cell` and :class:`repro.api.Simulation` on one
+    :class:`~repro.robustness.ResilientPool`.  ``jobs=1`` is the pool's
+    in-process mode: cells run in the calling process, so the SIGALRM
+    watchdog, ``sample_jobs`` window fan-out and in-process observers
+    keep working.  ``jobs>1`` forks that many workers; because the
     simulator is deterministic pure Python, parallel results equal
     serial ones.  ``jobs=None`` uses every available CPU.
 
@@ -656,7 +640,7 @@ class SweepEngine:
     bounds re-attempts before quarantine, ``journal`` records durable
     progress for ``resume=True``, ``injector`` drives deterministic
     chaos, and ``max_worker_deaths`` caps pool rebuilds before the
-    engine degrades to serial execution.  All default to off.
+    pool degrades to in-process execution.  All default to off.
     """
 
     def __init__(
@@ -694,8 +678,8 @@ class SweepEngine:
         #: robustness knobs because they may not influence cell identity
         #: — cache keys are byte-identical with or without them.
         #: ``sample_jobs`` fans each sampled cell's detailed windows over
-        #: worker processes (applied on the serial engine path only;
-        #: parallel sweeps already saturate the machine with cells), and
+        #: worker processes (applied with ``jobs=1`` only; parallel
+        #: sweeps already saturate the machine with cells), and
         #: ``checkpoint_dir`` lets every cell sharing warm-relevant
         #: parameters reuse one functional warm-up pass.
         if sample_jobs is not None and sample_jobs < 1:
@@ -707,10 +691,9 @@ class SweepEngine:
         self.total_cached = 0
 
     def _span(self, name: str, *, category: str, **args: object):
-        """A tracer span when telemetry is attached, else a no-op scope."""
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.tracer.span(name, category=category, **args)
+        """A span on the telemetry tracer (a no-op one when detached)."""
+        tracer = self.telemetry.tracer if self.telemetry is not None else NULL_TRACER
+        return tracer.span(name, category=category, **args)
 
     # -- internals ----------------------------------------------------------
     def _report(self, done: int, total: int, cell: SweepCell, source: str) -> None:
@@ -745,24 +728,6 @@ class SweepEngine:
         if self.journal is not None:
             self.journal.append(record)
 
-    def _store_result(self, key: str, result: SimulationResult, context: str) -> None:
-        """Store through the cache, lending it the engine's injector.
-
-        ``context`` carries the attempt number, so an injected store
-        crash is transient — the retry draws fresh and lands the entry.
-        """
-        if self.cache is None:
-            return
-        if self.injector is not None:
-            self.cache.injector = self.injector
-            self.cache.fault_context = context
-        try:
-            self.cache.store(key, result)
-        finally:
-            if self.injector is not None:
-                self.cache.injector = None
-                self.cache.fault_context = ""
-
     def _quarantine_cell(
         self, cell: SweepCell, key: str, attempts: int, errors: List[str], rstats: Dict
     ) -> None:
@@ -786,112 +751,7 @@ class SweepEngine:
             }
         )
 
-    def _run_serial(
-        self,
-        spec: SweepSpec,
-        cells: Sequence[SweepCell],
-        slots: List[Optional[SimulationResult]],
-        keys: Sequence[str],
-        rstats: Dict[str, object],
-    ) -> None:
-        from ..common.errors import CellTimeoutError
-
-        with self._span("sweep:trace-build", category="sweep", suite=spec.suite):
-            traces = suite_traces(spec.scale, spec.suite, spec.workloads)
-        done = sum(1 for slot in slots if slot is not None)
-        simulation: Optional[Simulation] = None
-        simulation_config: Optional[ProcessorConfig] = None
-        for cell in cells:
-            if slots[cell.index] is not None:
-                continue
-            if simulation is None or simulation_config is not cell.config:
-                simulation = Simulation(
-                    cell.config,
-                    sampling=spec.sampling,
-                    sample_jobs=self.sample_jobs if spec.sampling is not None else None,
-                    checkpoint_dir=(
-                        self.checkpoint_dir if spec.sampling is not None else None
-                    ),
-                )
-                simulation_config = cell.config
-            config_name = cell.config.name or cell.config.mode
-            attempts = 0
-            errors: List[str] = []
-            while True:
-                context = f"{config_name}x{cell.workload}:a{attempts}"
-                active = simulation
-                if self.injector is not None:
-                    probe = self.injector.simulate_error_probe(context)
-                    if probe is not None:
-                        # A probed run needs its own facade; the shared
-                        # per-config one must stay probe-free.  Probes
-                        # cannot cross window-worker processes, so the
-                        # probed facade drops sample_jobs (never the
-                        # checkpoint reuse, which is parent-side).
-                        active = Simulation(
-                            cell.config,
-                            sampling=spec.sampling,
-                            probes=(probe,),
-                            checkpoint_dir=(
-                                self.checkpoint_dir
-                                if spec.sampling is not None
-                                else None
-                            ),
-                        )
-                try:
-                    with self._span(
-                        f"cell:{config_name}x{cell.workload}",
-                        category="cell",
-                        workload=cell.workload,
-                    ):
-                        with deadline(
-                            self.cell_timeout, label=f"cell {config_name}x{cell.workload}"
-                        ):
-                            result = active.run(traces[cell.workload])
-                    self._store_result(keys[cell.index], result, context)
-                except Exception as exc:  # noqa: BLE001 - retried/quarantined
-                    attempts += 1
-                    errors.append(f"{type(exc).__name__}: {exc}")
-                    if isinstance(exc, CellTimeoutError):
-                        rstats["timeouts"] += 1  # type: ignore[operator]
-                    self._journal_append(
-                        {
-                            "event": "cell-failed",
-                            "index": cell.index,
-                            "key": keys[cell.index],
-                            "attempt": attempts,
-                            "error": errors[-1],
-                        }
-                    )
-                    if self.retry.allows(attempts):
-                        rstats["retries"] += 1  # type: ignore[operator]
-                        time.sleep(self.retry.backoff(attempts))
-                        continue
-                    self._quarantine_cell(
-                        cell, keys[cell.index], attempts, errors, rstats
-                    )
-                    self._report(
-                        done, len(cells), cell, f"quarantined after {attempts} attempt(s)"
-                    )
-                    break
-                slots[cell.index] = result
-                done += 1
-                self._journal_append(
-                    {
-                        "event": "cell-done",
-                        "index": cell.index,
-                        "key": keys[cell.index],
-                        "workload": cell.workload,
-                        "config": config_name,
-                        "source": "simulated",
-                    }
-                )
-                self._report(done, len(cells), cell, f"simulated ipc={result.ipc:.4f}")
-                if self.injector is not None:
-                    self.injector.sigint_point(f"collect:{done}")
-                break
-
-    def _run_parallel(
+    def _run_cells(
         self,
         spec: SweepSpec,
         cells: Sequence[SweepCell],
@@ -899,32 +759,40 @@ class SweepEngine:
         keys: Sequence[str],
         rstats: Dict[str, object],
     ) -> Dict[str, float]:
+        """Run the uncached cells on the pool; ``jobs=1`` runs in-process.
+
+        Returns the cell-side cache hits and the summed cell wall-clock.
+        """
         pending = _workload_major(cells, slots, spec)
-        sampling_data = spec.sampling.to_dict() if spec.sampling is not None else None
-        cache_dir = str(self.cache.cache_dir) if self.cache is not None else None
-        plan_data = self.injector.to_dict() if self.injector is not None else None
+        workers = 0 if self.jobs == 1 else min(self.jobs, len(pending))
+        cache = self.cache
         by_index = {cell.index: cell for cell in pending}
         tasks = []
         for cell in pending:
-            config_name = cell.config.name or cell.config.mode
-            fault_context = f"{config_name}x{cell.workload}"
-            payload = (
-                cell.config.to_dict(),
+            task = CellTask(
+                cell.config,
                 spec.suite,
                 spec.scale,
                 cell.workload,
-                sampling_data,
-                cache_dir,
-                keys[cell.index] if cache_dir is not None else None,
-                plan_data,
-                fault_context,
-                str(self.checkpoint_dir) if self.checkpoint_dir is not None else None,
-                self.cache.max_bytes if self.cache is not None else None,
+                sampling=spec.sampling,
+                cache_dir=str(cache.cache_dir) if cache is not None else None,
+                cache_key=keys[cell.index] if cache is not None else None,
+                cache_max_bytes=cache.max_bytes if cache is not None else None,
+                injector=self.injector,
+                checkpoint_dir=(
+                    str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
+                ),
+                # Window fan-out nests only under the in-process runner;
+                # parallel sweeps already saturate the machine with cells.
+                sample_jobs=(
+                    self.sample_jobs
+                    if workers == 0 and spec.sampling is not None
+                    else None
+                ),
             )
-            tasks.append((cell.index, payload, fault_context))
-        workers = min(self.jobs, len(pending))
+            tasks.append((cell.index, task, task.label))
         chunksize = _locality_chunksize(pending, workers)
-        stats = {"hits": 0.0, "misses": 0.0, "stores": 0.0, "busy": 0.0, "evictions": 0.0}
+        stats = {"hits": 0.0, "busy": 0.0}
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         base = tracer.clock.now() if tracer is not None else 0.0
         worker_tids: Dict[object, int] = {}
@@ -948,15 +816,11 @@ class SweepEngine:
                         stats["hits"] += 1
                         self.cache.hits += 1
                     else:
-                        stats["misses"] += 1
                         self.cache.misses += 1
                     if meta.get("stored"):
-                        stats["stores"] += 1
                         self.cache.stores += 1
-                    evicted = int(meta.get("evictions") or 0)  # type: ignore[arg-type]
-                    if evicted:
-                        stats["evictions"] += evicted
-                        self.cache.evictions += evicted
+                    self.cache.evictions += int(meta["evictions"])  # type: ignore[arg-type]
+                    self.cache.evicted_bytes += int(meta["evicted_bytes"])  # type: ignore[arg-type]
                 rstats["faults"] += len(meta.get("faults") or ())  # type: ignore[operator]
                 config_name = cell.config.name or cell.config.mode
                 if tracer is not None:
@@ -1025,7 +889,7 @@ class SweepEngine:
                 )
 
         pool = ResilientPool(
-            _cell_with_attempt,
+            _simulate_cell,
             workers,
             cell_timeout=self.cell_timeout,
             retry=self.retry,
@@ -1137,20 +1001,9 @@ class SweepEngine:
                             "source": "cache",
                         }
                     )
-            worker_stats = {
-                "hits": 0.0,
-                "misses": 0.0,
-                "stores": 0.0,
-                "busy": 0.0,
-                "evictions": 0.0,
-            }
             evictions_before = self.cache.evictions if self.cache is not None else 0
             try:
-                if cached < len(cells):
-                    if self.jobs > 1:
-                        worker_stats = self._run_parallel(spec, cells, slots, keys, rstats)
-                    else:
-                        self._run_serial(spec, cells, slots, keys, rstats)
+                worker_stats = self._run_cells(spec, cells, slots, keys, rstats)
             except KeyboardInterrupt:
                 completed = sum(1 for slot in slots if slot is not None)
                 pending = len(cells) - completed

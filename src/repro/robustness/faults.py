@@ -220,9 +220,14 @@ class FaultInjector:
         self.plan = plan
         self.fired: List[Tuple[str, str]] = []
 
-    # -- serialization (injectors travel to workers as plan dicts) ----------
+    # -- serialization (injectors travel to workers as plans) ----------------
     def to_dict(self) -> Dict[str, object]:
         return self.plan.to_dict()
+
+    def __reduce__(self):
+        # A pickled copy (a pool task payload) starts with an empty fired
+        # log: what a worker fires is reported back, never re-counted.
+        return (FaultInjector, (self.plan,))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultInjector":

@@ -16,9 +16,11 @@ workers:
   (capped deterministic backoff, no parent-blocking sleeps) and
   quarantine after the budget — the pool finishes everything it can
   and reports the rest, it never raises for a poison task;
+* an in-process mode: ``workers=0`` runs every task in the calling
+  process through the same watchdogged, retried and quarantined loop;
 * graceful degradation: when workers keep dying (``max_worker_deaths``)
-  the pool stops respawning and runs the remainder serially in the
-  parent under a SIGALRM watchdog;
+  the pool stops respawning and finishes the remainder in that
+  in-process loop, under a SIGALRM watchdog;
 * KeyboardInterrupt stops dispatch, drains in-flight tasks for a grace
   period (their results are delivered through ``on_event`` like any
   other), tears the pool down, and re-raises for the caller to wrap.
@@ -45,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..common.errors import CellTimeoutError
 from .faults import mark_worker
 from .retry import RetryPolicy
 from .watchdog import deadline
@@ -171,7 +174,11 @@ class _Worker:
 
 
 class ResilientPool:
-    """Supervised workers executing ``fn(payload, attempt)`` per task."""
+    """Supervised workers executing ``fn(payload, attempt)`` per task.
+
+    ``workers=0`` forks nothing: tasks run in the calling process, in
+    task order, with the same retry, quarantine and event semantics.
+    """
 
     def __init__(
         self,
@@ -184,8 +191,8 @@ class ResilientPool:
         on_event: Optional[EventFn] = None,
         sleep=time.sleep,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.fn = fn
         self.workers = workers
         self.cell_timeout = cell_timeout
@@ -220,6 +227,9 @@ class ResilientPool:
         order = [task_id for task_id, _payload, _group in tasks]
         if not states:
             return outcome
+        if self.workers == 0:
+            self._run_in_process(states, outcome)
+            return outcome
         pool: List[_Worker] = []
         try:
             pool = [
@@ -239,7 +249,7 @@ class ResilientPool:
                 "degrade",
                 remaining=len(states) - len(outcome.results) - len(outcome.failures),
             )
-            self._run_serial(states, outcome)
+            self._run_in_process(states, outcome)
         return outcome
 
     @staticmethod
@@ -414,9 +424,9 @@ class ResilientPool:
                 errors=list(state.errors),
             )
 
-    # -- degraded serial execution --------------------------------------------
-    def _run_serial(self, states, outcome: PoolOutcome) -> None:
-        """Finish the remainder in-parent: watchdogged, retried, quarantined."""
+    # -- in-process execution -------------------------------------------------
+    def _run_in_process(self, states, outcome: PoolOutcome) -> None:
+        """Run what is left in this process: watchdogged, retried, quarantined."""
         remaining = [
             state
             for task_id, state in states.items()
@@ -425,11 +435,18 @@ class ResilientPool:
         for state in remaining:
             while True:
                 try:
-                    with deadline(self.cell_timeout, label=f"cell {state.task_id}"):
+                    with deadline(
+                        self.cell_timeout, label=f"cell {state.group or state.task_id}"
+                    ):
                         value = self.fn(state.payload, state.attempts)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:  # noqa: BLE001 - incl. CellTimeoutError
+                    if isinstance(exc, CellTimeoutError):
+                        outcome.timeouts += 1
+                        self._emit(
+                            "timeout", task_id=state.task_id, seconds=self.cell_timeout
+                        )
                     error = f"{type(exc).__name__}: {exc}"
                     self._attempt_failed(state.task_id, error, [], states, outcome)
                     if state.task_id in outcome.failures:

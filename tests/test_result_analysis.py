@@ -18,7 +18,7 @@ from repro.analysis.report import (
 )
 from repro.common.config import cooo_config, scaled_baseline
 from repro.api import run as simulate
-from repro.core.processor import average_ipc
+from repro.core.result import average_ipc
 from repro.core.result import SimulationResult
 from repro.isa.instruction import RetireClass
 from repro.workloads import daxpy

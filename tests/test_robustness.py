@@ -348,51 +348,88 @@ def _pool_poison(payload, attempt):
     raise RuntimeError("always broken")
 
 
+def _pool_sleepy(payload, attempt):
+    time.sleep(payload)
+    return payload
+
+
+def _no_fork(*args, **kwargs):
+    raise AssertionError("a workers=0 pool must not start a worker process")
+
+
+#: Pool sizes the TestResilientPool cases run at: in-process and forked.
+POOL_WORKERS = (0, 2)
+
+
 class TestResilientPool:
-    def test_runs_everything_and_preserves_results(self):
-        pool = ResilientPool(_pool_flaky, 2, retry=FAST_RETRY)
-        outcome = pool.run([(i, 0, "") for i in range(8)])
-        assert outcome.results == {i: 0 for i in range(8)}
-        assert not outcome.failures
-        assert outcome.retries == 0 and outcome.worker_deaths == 0
+    @staticmethod
+    def _worker_counts(monkeypatch):
+        """Yield each of POOL_WORKERS; while 0 runs, starting a worker fails."""
+        from repro.robustness import pool as pool_module
 
-    def test_retries_until_the_budget(self):
-        events = []
-        pool = ResilientPool(
-            _pool_flaky,
-            2,
-            retry=FAST_RETRY,
-            on_event=lambda kind, **info: events.append((kind, info)),
-        )
-        outcome = pool.run([(n, n, "") for n in range(3)])
-        assert outcome.results == {0: 0, 1: 1, 2: 4}
-        assert outcome.retries == 3  # one for payload 1, two for payload 2
-        assert not outcome.failures
-        retry_events = [info for kind, info in events if kind == "retry"]
-        assert {e["task_id"] for e in retry_events} == {1, 2}
-        assert all("delay" in e and "attempt" in e for e in retry_events)
+        for workers in POOL_WORKERS:
+            with monkeypatch.context() as patch:
+                if workers == 0:
+                    patch.setattr(pool_module, "_Worker", _no_fork)
+                yield workers
 
-    def test_poison_task_quarantined_not_raised(self):
-        events = []
-        pool = ResilientPool(
-            _pool_poison,
-            2,
-            retry=FAST_RETRY,
-            on_event=lambda kind, **info: events.append((kind, info)),
-        )
-        outcome = pool.run([("good", 0, ""), ("bad", 0, "")])
-        # _pool_poison fails both; this checks the shape of quarantine.
-        assert set(outcome.failures) == {"good", "bad"}
-        failure = outcome.failures["bad"]
-        assert failure.attempts == FAST_RETRY.max_attempts
-        assert all("RuntimeError: always broken" in e for e in failure.errors)
-        kinds = [kind for kind, _ in events]
-        assert kinds.count("quarantine") == 2
-        assert kinds.count("task-error") == 2 * FAST_RETRY.max_attempts
+    def test_runs_everything_and_preserves_results(self, monkeypatch):
+        for workers in self._worker_counts(monkeypatch):
+            pool = ResilientPool(_pool_flaky, workers, retry=FAST_RETRY)
+            outcome = pool.run([(i, 0, "") for i in range(8)])
+            assert outcome.results == {i: 0 for i in range(8)}, workers
+            assert not outcome.failures
+            assert outcome.retries == 0 and outcome.worker_deaths == 0
+
+    def test_retries_until_the_budget(self, monkeypatch):
+        for workers in self._worker_counts(monkeypatch):
+            events = []
+            pool = ResilientPool(
+                _pool_flaky,
+                workers,
+                retry=FAST_RETRY,
+                on_event=lambda kind, **info: events.append((kind, info)),
+            )
+            outcome = pool.run([(n, n, "") for n in range(3)])
+            assert outcome.results == {0: 0, 1: 1, 2: 4}, workers
+            assert outcome.retries == 3  # one for payload 1, two for payload 2
+            assert not outcome.failures
+            retry_events = [info for kind, info in events if kind == "retry"]
+            assert {e["task_id"] for e in retry_events} == {1, 2}
+            assert all("delay" in e and "attempt" in e for e in retry_events)
+
+    def test_poison_task_quarantined_not_raised(self, monkeypatch):
+        for workers in self._worker_counts(monkeypatch):
+            events = []
+            pool = ResilientPool(
+                _pool_poison,
+                workers,
+                retry=FAST_RETRY,
+                on_event=lambda kind, **info: events.append((kind, info)),
+            )
+            outcome = pool.run([("good", 0, ""), ("bad", 0, "")])
+            # _pool_poison fails both; this checks the shape of quarantine.
+            assert set(outcome.failures) == {"good", "bad"}, workers
+            failure = outcome.failures["bad"]
+            assert failure.attempts == FAST_RETRY.max_attempts
+            assert all("RuntimeError: always broken" in e for e in failure.errors)
+            kinds = [kind for kind, _ in events]
+            assert kinds.count("quarantine") == 2
+            assert kinds.count("task-error") == 2 * FAST_RETRY.max_attempts
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ResilientPool(_pool_flaky, 0)
+            ResilientPool(_pool_flaky, -1)
+
+    @pytest.mark.skipif(not watchdog_available(), reason="no SIGALRM here")
+    def test_in_process_watchdog_counts_timeouts(self):
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, backoff_cap=0.0)
+        pool = ResilientPool(_pool_sleepy, 0, cell_timeout=0.2, retry=policy)
+        outcome = pool.run([("slow", 10.0, "cfgxdaxpy"), ("fast", 0.0, "")])
+        assert outcome.results == {"fast": 0.0}
+        assert outcome.timeouts == 2
+        errors = outcome.failures["slow"].errors
+        assert all("CellTimeoutError" in e and "cell cfgxdaxpy" in e for e in errors)
 
 
 class TestSerialRecovery:

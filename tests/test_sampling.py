@@ -21,7 +21,7 @@ from repro.common.config import (
     cooo_config,
     scaled_baseline,
 )
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.core.registry_machines import create_pipeline
 from repro.core.result import SimulationResult
@@ -396,6 +396,38 @@ class TestSampledAccuracy:
         assert [w["start"] for w in base.windows] != [w["start"] for w in shifted.windows]
         # Same stationary kernel: the two estimates still agree closely.
         assert shifted.ipc == pytest.approx(base.ipc, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Window failures: serial propagates, the pool quarantines and reports
+# ---------------------------------------------------------------------------
+
+
+def _broken_window(*args, **kwargs):
+    raise RuntimeError("window exploded")
+
+
+class TestWindowFailures:
+    PLAN = SamplingPlan(period=5_000, window=700, warmup=200)
+
+    def test_quarantined_parallel_window_raises_simulation_error(self, monkeypatch):
+        from repro.core import sampling as sampling_mod
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(sampling_mod, "_execute_window", _broken_window)
+        with pytest.raises(
+            SimulationError, match=r"window \d+: RuntimeError: window exploded"
+        ):
+            run_sampled(
+                small_baseline(), daxpy(elements=2_000), self.PLAN, parallel_windows=2
+            )
+
+    def test_serial_window_error_propagates_unchanged(self, monkeypatch):
+        from repro.core import sampling as sampling_mod
+
+        monkeypatch.setattr(sampling_mod, "_execute_window", _broken_window)
+        with pytest.raises(RuntimeError, match="window exploded"):
+            run_sampled(small_baseline(), daxpy(elements=2_000), self.PLAN)
 
 
 # ---------------------------------------------------------------------------

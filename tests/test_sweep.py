@@ -406,7 +406,7 @@ class TestParallelTraceLocality:
 
         ``imap`` hands out consecutive chunks of ``chunksize`` tasks
         round-robin; each worker builds one trace per distinct workload
-        it sees (the per-process ``_WORKER_TRACES`` cache).
+        it sees (the per-process trace cache of ``suite_traces``).
         """
         chunks = [
             ordered_cells[i : i + chunksize]
@@ -459,24 +459,32 @@ class TestParallelTraceLocality:
         )
         assert two_worker_builds == len(WORKLOADS)
 
-    def test_worker_trace_build_counter(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _simulate_cell, _workload_major
+    def test_worker_trace_build_counter(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.sweep import CellTask, _simulate_cell, _workload_major
 
         spec = self._grid_spec()
         cells = spec.cells()
         ordered = _workload_major(cells, [None] * len(cells), spec)
         tasks = [
-            (cell.config.to_dict(), spec.suite, spec.scale, cell.workload, None)
+            CellTask(cell.config, spec.suite, spec.scale, cell.workload)
             for cell in ordered
         ]
-        sweep_module._WORKER_TRACES.clear()
-        sweep_module.TRACE_BUILDS = 0
+        monkeypatch.setattr(runner, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner, "TRACE_BUILDS", 0)
         for task in tasks:
             _simulate_cell(task)
         # One build per workload, not one per cell.
-        assert sweep_module.TRACE_BUILDS == len(WORKLOADS)
+        assert runner.TRACE_BUILDS == len(WORKLOADS)
         assert len(tasks) == len(WORKLOADS) * len(spec.configs)
+
+    def test_filtered_serial_sweep_builds_only_its_members(self, monkeypatch):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner, "TRACE_BUILDS", 0)
+        SweepEngine(jobs=1).run(small_spec(workloads=("daxpy",)))
+        assert runner.TRACE_BUILDS == 1
 
     def test_parallel_run_matches_serial_with_reordering(self):
         spec = self._grid_spec()
@@ -521,14 +529,14 @@ class TestWorkerCacheAggregation:
         assert rows_of(second) == rows_of(first)
 
     def test_worker_cell_hits_cache_directly(self, tmp_path):
-        from repro.experiments.sweep import _simulate_cell
+        from repro.experiments.sweep import CellTask, _simulate_cell
 
         spec = small_spec()
         cell = spec.cells()[0]
         key = cell_cache_key(cell.config, spec.suite, cell.workload, spec.scale)
-        task = (
-            cell.config.to_dict(), spec.suite, spec.scale, cell.workload,
-            None, str(tmp_path), key,
+        task = CellTask(
+            cell.config, spec.suite, spec.scale, cell.workload,
+            cache_dir=str(tmp_path), cache_key=key,
         )
         first_result, first_meta = _simulate_cell(task)
         assert first_meta["cache_hit"] is False
@@ -537,16 +545,6 @@ class TestWorkerCacheAggregation:
         assert second_meta["cache_hit"] is True
         assert second_meta["stored"] is False
         assert second_result.summary_row() == first_result.summary_row()
-
-    def test_legacy_five_field_task_still_works(self):
-        from repro.experiments.sweep import _simulate_cell
-
-        spec = small_spec()
-        cell = spec.cells()[0]
-        task = (cell.config.to_dict(), spec.suite, spec.scale, cell.workload, None)
-        result, meta = _simulate_cell(task)
-        assert result.cycles > 0
-        assert meta["cache_hit"] is False and meta["stored"] is False
 
 
 class TestSweepTelemetry:
