@@ -8,9 +8,10 @@ depend on the queue size (important for simulating the paper's unbuildable
 4096-entry baseline queues at tolerable speed).
 
 The queue maintains its waiting population as a set alongside the
-resident set, so the pipeline's "who is still blocked on operands"
-queries (`waiting_residents`) and the event-driven kernel's "is anything
-selectable" query (`has_ready`) never scan the full queue.
+resident set, so the pipeline's "youngest entry still blocked on
+operands" query (`youngest_waiting`) scans only the waiting entries and
+the event-driven kernel's "is anything selectable" query (`has_ready`)
+never scans the queue.
 """
 
 from __future__ import annotations
@@ -226,20 +227,22 @@ class InstructionQueue:
         """
         return sorted(self._residents, key=lambda inst: inst.seq)
 
-    def waiting_residents(self) -> List[DynInst]:
-        """Residents that still have unready source operands, oldest first.
+    def youngest_waiting(self) -> Optional[DynInst]:
+        """Highest-``seq`` resident still waiting on operands, or None.
 
-        Backed by a maintained set (updated on insert/wakeup/remove), so
-        the query does not scan the whole queue.
+        One pass over the maintained waiting set (updated on
+        insert/wakeup/remove), so the query neither scans the whole
+        queue nor sorts.
         """
-        return sorted(
-            (
-                inst
-                for inst in self._waiting
-                if inst.pending_srcs and inst.state is InstState.DISPATCHED
-            ),
-            key=lambda inst: inst.seq,
-        )
+        youngest: Optional[DynInst] = None
+        for inst in self._waiting:
+            if (
+                inst.pending_srcs
+                and inst.state is InstState.DISPATCHED
+                and (youngest is None or inst.seq > youngest.seq)
+            ):
+                youngest = inst
+        return youngest
 
     def drop_squashed(self, insts: Iterable[DynInst]) -> None:
         """Remove a batch of squashed instructions that were resident here."""

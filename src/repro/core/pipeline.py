@@ -1263,10 +1263,9 @@ class OoOCommitPipeline(PipelineBase):
         """
         if self.sliq is None:
             return False
-        waiting = queue.waiting_residents()
-        if not waiting:
+        victim = queue.youngest_waiting()
+        if victim is None:
             return False
-        victim = max(waiting, key=lambda entry: entry.seq)
         pending = [p for p in victim.phys_srcs if not self.regfile.is_ready(p)]
         if not pending:
             return False

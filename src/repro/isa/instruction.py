@@ -7,7 +7,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from . import registers
-from .opcodes import OpClass, is_branch, is_load, is_memory, is_store
+from .opcodes import OP_FLAGS, OpClass
+from .registers import NUM_LOGICAL_REGS
+
+#: Flags of an ``op`` outside ``OpClass``: it classifies as nothing.
+_NO_FLAGS = (False, False, False, False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,19 +45,23 @@ class Instruction:
     is_branch: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        op = self.op
-        object.__setattr__(self, "is_load", is_load(op))
-        object.__setattr__(self, "is_store", is_store(op))
-        object.__setattr__(self, "is_memory", is_memory(op))
-        object.__setattr__(self, "is_branch", is_branch(op))
-        if self.dest is not None and not registers.is_valid(self.dest):
-            raise ValueError(f"invalid destination register {self.dest}")
+        is_load, is_store, is_memory, is_branch = OP_FLAGS.get(self.op, _NO_FLAGS)
+        set_flag = object.__setattr__
+        set_flag(self, "is_load", is_load)
+        set_flag(self, "is_store", is_store)
+        set_flag(self, "is_memory", is_memory)
+        set_flag(self, "is_branch", is_branch)
+        # ``registers.is_valid`` inline: a call per register is a large
+        # share of a trace build's cost.
+        dest = self.dest
+        if dest is not None and not 0 <= dest < NUM_LOGICAL_REGS:
+            raise ValueError(f"invalid destination register {dest}")
         registers.validate_regs(self.srcs)
-        if self.is_memory and self.mem_addr is None:
+        if is_memory and self.mem_addr is None:
             raise ValueError(f"memory instruction at pc={self.pc:#x} has no address")
-        if self.is_store and self.dest is not None:
+        if is_store and dest is not None:
             raise ValueError("store instructions must not have a destination register")
-        if op is OpClass.BRANCH and self.branch_taken and self.branch_target is None:
+        if is_branch and self.branch_taken and self.branch_target is None:
             raise ValueError("taken branch requires a target")
 
     # -- classification helpers ---------------------------------------

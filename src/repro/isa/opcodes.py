@@ -9,7 +9,7 @@ fetch.  ``OpClass`` captures exactly that.
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..common.config import FunctionalUnitConfig
 
@@ -69,6 +69,14 @@ def is_branch(op: OpClass) -> bool:
 def is_fp(op: OpClass) -> bool:
     """True if the instruction is steered to the floating-point queue."""
     return op in FP_CLASSES
+
+
+#: ``(is_load, is_store, is_memory, is_branch)`` of every operation class:
+#: ``Instruction`` reads its four classification flags with one lookup
+#: here instead of four predicate calls.
+OP_FLAGS: Dict[OpClass, Tuple[bool, bool, bool, bool]] = {
+    op: (is_load(op), is_store(op), is_memory(op), is_branch(op)) for op in OpClass
+}
 
 
 class FUType(enum.Enum):

@@ -78,5 +78,5 @@ def registers_of_class(fp: bool) -> List[int]:
 def validate_regs(regs: Iterable[int]) -> None:
     """Raise ``ValueError`` if any id in ``regs`` is out of range."""
     for reg in regs:
-        if not is_valid(reg):
+        if not 0 <= reg < NUM_LOGICAL_REGS:  # is_valid, without a call per id
             raise ValueError(f"invalid logical register id {reg}")

@@ -11,9 +11,10 @@ instructions is modelled faithfully.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.errors import TraceError
 from ..isa.instruction import Instruction
@@ -122,17 +123,14 @@ class Trace:
 
         Covers every instruction record but *not* the trace name, so a
         regenerated, loaded or renamed copy of the same execution hashes
-        equal.  Computed lazily and cached — traces are immutable — so
-        repeated checkpoint-key derivations pay the walk once.
+        equal.  The hashed bytes are each instruction's
+        ``json.dumps(instr.to_record(), sort_keys=True)`` plus a newline
+        (see :func:`_record_digest`).  Computed lazily and cached — traces
+        are immutable — so repeated checkpoint-key derivations pay the
+        walk once.
         """
         if self._digest is None:
-            import hashlib
-
-            hasher = hashlib.sha256()
-            for instr in self._instructions:
-                hasher.update(json.dumps(instr.to_record(), sort_keys=True).encode("utf-8"))
-                hasher.update(b"\n")
-            self._digest = hasher.hexdigest()
+            self._digest = _record_digest(self._instructions)
         return self._digest
 
     # -- serialisation ----------------------------------------------------
@@ -241,6 +239,79 @@ class TraceCursor:
     def remaining(self) -> int:
         """Number of instructions not yet handed out."""
         return len(self._trace) - self._position
+
+
+#: Instructions serialised per hash update: bounds the digest's buffer.
+_DIGEST_CHUNK = 4096
+#: Distinct memo entries the digest keeps before it starts afresh.
+_DIGEST_MEMO_CAP = 4096
+
+
+def _record_digest(instructions: List[Instruction]) -> str:
+    """sha256 of ``json.dumps(instr.to_record(), sort_keys=True) + "\\n"`` per instruction.
+
+    Emits those exact bytes without building a record dict per
+    instruction.  Sorted keys put ``mem_addr`` between the fields that
+    repeat for every dynamic instance of a static instruction, so the
+    text before and after it is memoized per distinct (pc, op, dest,
+    srcs, label, mem_size, branch fields, raises_exception) and only the
+    address is formatted per instruction.  The memo is used only when
+    every field has its plain type (``int``, ``str``, ``bool`` or
+    ``None``, ``srcs`` a tuple of ``int``): values that compare equal but
+    serialise differently (``1``, ``1.0``, ``True``) never share an entry,
+    because any other type takes the reference ``json.dumps`` path.  The
+    memo holds at most ``_DIGEST_MEMO_CAP`` entries and the text is
+    hashed ``_DIGEST_CHUNK`` instructions at a time, so memory does not
+    grow with the trace.
+    """
+    hasher = hashlib.sha256()
+    memo: Dict[tuple, Tuple[str, str]] = {}
+    dumps = json.dumps
+    int_repr = int.__repr__
+    for start in range(0, len(instructions), _DIGEST_CHUNK):
+        parts: List[str] = []
+        append = parts.append
+        for instr in instructions[start:start + _DIGEST_CHUNK]:
+            pc, op, dest, srcs = instr.pc, instr.op, instr.dest, instr.srcs
+            label, mem_size, mem_addr = instr.label, instr.mem_size, instr.mem_addr
+            taken, target, raises = instr.branch_taken, instr.branch_target, instr.raises_exception
+            for reg in srcs:
+                if type(reg) is not int:
+                    break
+            else:
+                if (
+                    type(pc) is int
+                    and type(op) is OpClass
+                    and (dest is None or type(dest) is int)
+                    and type(srcs) is tuple
+                    and type(label) is str
+                    and type(mem_size) is int
+                    and (mem_addr is None or type(mem_addr) is int)
+                    and (taken is True or taken is False)
+                    and (target is None or type(target) is int)
+                    and (raises is True or raises is False)
+                ):
+                    # op._value_, not op: a str hashes in C, an enum member in Python.
+                    key = (pc, op._value_, dest, srcs, label, mem_size, taken, target, raises)
+                    around = memo.get(key)
+                    if around is None:
+                        if len(memo) >= _DIGEST_MEMO_CAP:
+                            memo.clear()
+                        record = instr.to_record()
+                        record["mem_addr"] = None
+                        # Only numbers and the op name follow mem_addr, so
+                        # the last match is the field, never label text.
+                        text = dumps(record, sort_keys=True)
+                        before, _, after = text.rpartition('"mem_addr": null')
+                        around = memo[key] = (before + '"mem_addr": ', after + "\n")
+                    append(around[0])
+                    append("null" if mem_addr is None else int_repr(mem_addr))
+                    append(around[1])
+                    continue
+            append(dumps(instr.to_record(), sort_keys=True))
+            append("\n")
+        hasher.update("".join(parts).encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:

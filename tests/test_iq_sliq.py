@@ -118,8 +118,42 @@ class TestInstructionQueue:
         waiting = dyn(2, phys_srcs=(7,))
         queue.insert(ready, prf, wakeup)
         queue.insert(waiting, prf, wakeup)
-        assert queue.waiting_residents() == [waiting]
+        assert queue.youngest_waiting() is waiting
         assert set(queue.residents()) == {ready, waiting}
+
+    def test_youngest_waiting_picks_highest_seq(self, stats, prf):
+        queue = InstructionQueue("iq", 8, stats)
+        wakeup = WakeupNetwork()
+        for seq in (5, 9, 2, 7):
+            queue.insert(dyn(seq, phys_srcs=(10 + seq,)), prf, wakeup)
+        assert queue.youngest_waiting().seq == 9
+
+    def test_youngest_waiting_skips_ready_and_undispatched(self, stats, prf):
+        queue = InstructionQueue("iq", 8, stats)
+        wakeup = WakeupNetwork()
+        waiting = dyn(1, phys_srcs=(7,))
+        ready_at_insert = dyn(2)
+        woken = dyn(3, phys_srcs=(8,))
+        squashed = dyn(4, phys_srcs=(9,))
+        for inst in (waiting, ready_at_insert, woken, squashed):
+            queue.insert(inst, prf, wakeup)
+        # Woken (no pending operands left) but not yet moved to the
+        # select pool: still in the waiting set, no longer waiting.
+        prf.set_ready(8)
+        wakeup.notify_ready(8)
+        assert not woken.pending_srcs and woken.in_iq
+        squashed.state = InstState.SQUASHED
+        assert queue.youngest_waiting() is waiting
+
+    def test_youngest_waiting_none_when_nothing_waits(self, stats, prf):
+        queue = InstructionQueue("iq", 4, stats)
+        wakeup = WakeupNetwork()
+        assert queue.youngest_waiting() is None
+        queue.insert(dyn(1), prf, wakeup)
+        inst = dyn(2, phys_srcs=(6,))
+        queue.insert(inst, prf, wakeup)
+        queue.remove(inst)
+        assert queue.youngest_waiting() is None
 
 
 class TestPseudoROB:

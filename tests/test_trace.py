@@ -1,13 +1,21 @@
 """Tests for traces, cursors and the trace builder."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.errors import TraceError
 from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
+from repro.trace import trace as trace_module
 from repro.trace.trace import Trace, TraceCursor, merge_traces
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.integer import multi_pointer_chase
+from repro.workloads.numerical import daxpy
+from repro.workloads.registry import get_suite, suite_names
+from repro.workloads.suite import spec2000fp_like
 
 
 def make_trace(n=10):
@@ -88,6 +96,81 @@ class TestTrace:
     def test_from_jsonl_rejects_garbage(self):
         with pytest.raises(TraceError):
             Trace.from_jsonl("this is not json")
+
+
+def reference_digest(trace):
+    """The digest's defining byte stream: each record's sorted-key JSON plus a newline.
+
+    ``Trace.digest`` must hash exactly these bytes; warm checkpoints are
+    keyed on the result, so any difference orphans stored checkpoints.
+    """
+    hasher = hashlib.sha256()
+    for instr in trace:
+        hasher.update(json.dumps(instr.to_record(), sort_keys=True).encode("utf-8"))
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+def hostile_trace():
+    """Labels that need escaping, and fields equal in value but not in JSON.
+
+    ``1``, ``1.0`` and ``True`` compare and hash equal but serialise as
+    ``1``, ``1.0`` and ``true``; each appears as pc, mem_addr, a source
+    register (and more) in otherwise identical instructions, in both
+    orders, so a memo keyed on values alone replays the wrong text.
+    """
+    labels = ['say "hi"', "back\\slash", "new\nline", "naïve ✓ 漢字", "100%", '", "mem_addr": null']
+    instrs = [Instruction(pc=4 * i, op=OpClass.INT_ALU, dest=1, label=label) for i, label in enumerate(labels)]
+    for one in (1, 1.0, True, 1.0, 1):
+        instrs += [
+            Instruction(pc=one, op=OpClass.INT_ALU, dest=2, srcs=(3,)),
+            Instruction(pc=64, op=OpClass.LOAD, dest=2, mem_addr=one),
+            Instruction(pc=68, op=OpClass.FP_ALU, dest=33, srcs=(one, 2)),
+            Instruction(pc=72, op=OpClass.INT_ALU, dest=one),
+            Instruction(pc=76, op=OpClass.BRANCH, branch_taken=one, branch_target=one),
+            Instruction(pc=80, op=OpClass.INT_ALU, raises_exception=one, mem_size=one),
+        ]
+    instrs.append(Instruction(pc=84, op=OpClass.FP_ALU, dest=33, srcs=[1, 2]))
+    return Trace(instrs, name="hostile")
+
+
+class TestTraceDigest:
+    #: Recorded with the original ``json.dumps`` implementation.
+    FROZEN = {
+        "daxpy": "3967b10221155819296ae112185c816a0ce6145750f0deefdee3508e5bb18199",
+        "gather": "e4f6ab6b6f712a8db74383196f8432bf211d9032ba57e86528543b099390928c",
+        "multi_chase": "334a98aa0973ec4228f4d5cefd4cc78e4c9088266a4a333f0f4bb18dad8eea92",
+    }
+
+    def test_frozen_digests(self):
+        traces = {
+            "daxpy": daxpy(elements=50),
+            "gather": spec2000fp_like(0.05)["gather"],
+            "multi_chase": multi_pointer_chase(hops=90, chains=4, seed=0),
+        }
+        for name, trace in traces.items():
+            assert reference_digest(trace) == self.FROZEN[name], name
+            assert trace.digest() == self.FROZEN[name], name
+
+    @pytest.mark.parametrize("suite", suite_names())
+    def test_matches_reference_on_registered_suite(self, suite):
+        for name, trace in get_suite(suite).build(0.05).items():
+            assert trace.digest() == reference_digest(trace), name
+
+    def test_matches_reference_on_hostile_records(self):
+        trace = hostile_trace()
+        assert trace.digest() == reference_digest(trace)
+
+    def test_matches_reference_past_memo_and_chunk_sizes(self):
+        # Every pc distinct: the memo fills and restarts, and the hash
+        # runs over more than one chunk.
+        count = max(trace_module._DIGEST_MEMO_CAP, trace_module._DIGEST_CHUNK) + 7
+        trace = Trace([Instruction(pc=4 * i, op=OpClass.INT_ALU, dest=1) for i in range(count)])
+        assert trace.digest() == reference_digest(trace)
+
+    def test_name_is_not_hashed(self):
+        trace = daxpy(elements=50)
+        assert Trace(list(trace), name="renamed").digest() == trace.digest()
 
 
 class TestTraceCursor:
