@@ -112,7 +112,6 @@ class Simulation:
         sampling: Optional[SamplingPlan] = None,
         sample_jobs: Optional[int] = None,
         checkpoint_dir=None,
-        checkpoint_max_bytes: Optional[int] = None,
         telemetry=None,
     ) -> None:
         self.config = config.validate()
@@ -155,7 +154,6 @@ class Simulation:
             )
         self.sample_jobs = sample_jobs
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_max_bytes = checkpoint_max_bytes
         #: Opt-in observability (see :mod:`repro.telemetry`): a
         #: :class:`~repro.telemetry.TelemetrySession` whose probes attach
         #: to every run and whose tracer records per-phase spans.  ``None``
@@ -210,7 +208,6 @@ class Simulation:
                     tracer=tracer,
                     parallel_windows=self.sample_jobs,
                     checkpoint_dir=self.checkpoint_dir,
-                    checkpoint_max_bytes=self.checkpoint_max_bytes,
                 )
             pipeline = create_pipeline(
                 self.config,
@@ -250,7 +247,6 @@ def run(
     sampling: Optional[SamplingPlan] = None,
     sample_jobs: Optional[int] = None,
     checkpoint_dir=None,
-    checkpoint_max_bytes: Optional[int] = None,
     telemetry=None,
 ) -> SimulationResult:
     """Run one trace on one configuration — the canonical one-liner."""
@@ -266,7 +262,6 @@ def run(
         sampling=sampling,
         sample_jobs=sample_jobs,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_max_bytes=checkpoint_max_bytes,
         telemetry=telemetry,
     ).run(trace)
 
@@ -287,7 +282,6 @@ def run_many(
     progress: Optional[Callable[[str], None]] = None,
     name: str = "api-run-many",
     sampling: Optional[SamplingPlan] = None,
-    sample_jobs: Optional[int] = None,
     checkpoint_dir=None,
     telemetry=None,
     cell_timeout: Optional[float] = None,
@@ -309,11 +303,12 @@ def run_many(
       unset.
     ``sampling`` applies a :class:`~repro.common.config.SamplingPlan` to
     every cell in either mode; sampled cells get their own cache keys,
-    so sampled and exact results never collide.  ``sample_jobs`` and
-    ``checkpoint_dir`` are the sampled-run performance levers (parallel
-    detailed windows, reusable warm-state checkpoints — see
-    :func:`repro.core.sampling.run_sampled`); results are bit-identical
-    with or without them and cache keys are untouched.
+    so sampled and exact results never collide.  ``checkpoint_dir`` is
+    the sampled-run performance lever (reusable warm-state checkpoints
+    — see :func:`repro.core.sampling.run_sampled`); results are
+    bit-identical with or without it and cache keys are untouched.
+    ``jobs`` is the only parallelism knob: sampled cells run their
+    detailed windows serially inside their task.
 
     ``use_cache=False`` is a hard guard that forces every cell to
     simulate live, overriding any ``cache`` argument — validation runs
@@ -366,7 +361,6 @@ def run_many(
                 max_cycles=max_cycles,
                 stop_when=stop_when,
                 sampling=sampling,
-                sample_jobs=sample_jobs,
                 checkpoint_dir=checkpoint_dir,
                 telemetry=telemetry,
             )
@@ -404,7 +398,6 @@ def run_many(
         injector=injector,
         journal=journal,
         resume=resume,
-        sample_jobs=sample_jobs,
         checkpoint_dir=checkpoint_dir,
     )
     return list(engine.run(spec).per_config())

@@ -316,7 +316,6 @@ def build_engine(args: argparse.Namespace, progress: bool = False) -> SweepEngin
         injector=injector,
         journal=journal,
         resume=resume,
-        sample_jobs=getattr(args, "sample_jobs", None),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
     )
 
@@ -711,8 +710,6 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
         f"in {outcome.elapsed:.1f}s"
     )
     if engine.cache is not None:
-        # cache_hits/cache_misses include worker-side lookups, which the
-        # engine folds back into the parent's counters.
         summary += (
             f" (cache: {outcome.cache_hits} hit(s), {outcome.cache_misses} miss(es))"
         )
@@ -739,6 +736,9 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not _validate_suite_argument(args):
+        return 2
+    if args.checkpoint_dir is not None and not args.sample:
+        print("error: --checkpoint-dir requires --sample", file=sys.stderr)
         return 2
     if not args.names:
         if getattr(args, "suite", None):
@@ -792,7 +792,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if engine.cache is not None:
         summary += (
             f" (cache {engine.cache.cache_dir}: {engine.cache.hits} hit(s), "
-            f"{engine.cache.misses} miss(es) incl. workers)"
+            f"{engine.cache.misses} miss(es))"
         )
     print(summary)
     if args.json:
@@ -1036,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(e.g. --sample 50000:8000:4000 for XL suites)",
         )
         subparser.add_argument(
-            "--sample-jobs", type=positive_int, default=None, metavar="N",
-            help="fan the detailed sample windows across N worker processes "
-                 "(bit-identical to serial; requires --sample)",
-        )
-        subparser.add_argument(
             "--checkpoint-dir", default=None, metavar="DIR",
             help="persist and reuse the functional warm-up pass as keyed "
                  "warm-state checkpoint files (requires --sample; see "
@@ -1058,6 +1053,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload size parameter (elements/iterations)")
     simulate.add_argument("--scale", type=float, default=0.5, help="suite scale")
     add_sampling_argument(simulate)
+    simulate.add_argument(
+        "--sample-jobs", type=positive_int, default=None, metavar="N",
+        help="fan the detailed sample windows across N worker processes "
+             "(bit-identical to serial; requires --sample)",
+    )
     add_machine_arguments(simulate)
     simulate.add_argument("--json", default=None, help="write results to this JSON file")
     simulate.set_defaults(func=cmd_simulate)

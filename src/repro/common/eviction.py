@@ -1,12 +1,14 @@
-"""LRU eviction for on-disk keyed stores (sweep cache, warm checkpoints).
+"""LRU eviction for the warm-state checkpoint directory.
 
-Both persistent stores in the package — the sweep engine's
-``ResultCache`` (``<key>.json``) and the sampled driver's warm-state
-checkpoints (``<key>.warm.gz``) — are flat directories of
-content-addressed files.  This module gives them one shared size-cap
-policy: keep the most recently *used* entries, evict the rest.  "Used"
-is the file's mtime; stores refresh it on every load hit (``os.utime``),
-so recency survives process restarts the way an in-memory LRU cannot.
+The sampled driver's warm-state checkpoints (``<key>.warm.gz``) live in
+a flat directory of content-addressed files.  This module gives it a
+size-cap policy: keep the most recently *used* entries, evict the rest.
+"Used" is the file's mtime: a write sets it and every matching load
+(:func:`repro.core.warmstate.load_matching_checkpoint`) refreshes it
+(``os.utime``), so recency survives process restarts the way an
+in-memory LRU cannot.  ``repro checkpoint gc`` and ``repro checkpoint
+save --max-bytes`` apply the cap; the sweep ``ResultCache`` is
+unbounded and does not use this module.
 """
 
 from __future__ import annotations

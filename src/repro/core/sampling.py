@@ -587,7 +587,6 @@ def run_sampled(
     tracer=None,
     parallel_windows: Optional[int] = None,
     checkpoint_dir=None,
-    checkpoint_max_bytes: Optional[int] = None,
     injector=None,
 ) -> SimulationResult:
     """Run ``trace`` under ``plan``; returns an extrapolated result.
@@ -659,13 +658,7 @@ def run_sampled(
     commit_width = config.core.commit_width
 
     boundaries, snapshots, warm_dump = _warm_snapshots(
-        effective,
-        trace,
-        plan,
-        segments,
-        tracer,
-        checkpoint_dir,
-        checkpoint_max_bytes,
+        effective, trace, plan, segments, tracer, checkpoint_dir
     )
     stats.merge_state(warm_dump)
 

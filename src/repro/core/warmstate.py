@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..branch import BranchTargetBuffer, build_predictor
+from ..common import eviction
 from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import TraceError
 from ..common.stats import StatsRegistry
@@ -141,6 +142,9 @@ def load_matching_checkpoint(directory: os.PathLike, key: str) -> Optional[WarmC
     *content* key disagrees with its name all miss (corrupt files are
     renamed aside so they cannot mask the slot) — warm state is never
     adopted from a checkpoint that does not match the requested key.
+    A match refreshes the file's mtime, so ``repro checkpoint gc``
+    (:func:`repro.common.eviction.evict_lru`) keeps checkpoints that
+    are in use and evicts the ones that are not.
     """
     path = checkpoint_path(directory, key)
     if not path.exists():
@@ -156,6 +160,7 @@ def load_matching_checkpoint(directory: os.PathLike, key: str) -> Optional[WarmC
         return None
     if checkpoint.key != key:
         return None
+    eviction.touch(path)
     return checkpoint
 
 

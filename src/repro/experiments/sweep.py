@@ -78,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..telemetry import TelemetrySession
 
 from ..api import Simulation
-from ..common import eviction
 from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import SweepInterrupted
 from ..common.tracing import NULL_TRACER
@@ -238,26 +237,16 @@ class ResultCache:
     store.  Both default to off; a cache without an injector takes the
     exact pre-robustness write path.
 
-    ``max_bytes`` caps the store's on-disk size: after every store the
-    least-recently-*used* entries (mtime order, refreshed on load hits —
-    see :mod:`repro.common.eviction`, which warm-state checkpoint
-    directories share) are deleted until the cap holds again.  ``None``
-    (the default) keeps the store unbounded, the pre-cap behavior.
+    The store is unbounded: entries are never evicted, only replaced,
+    quarantined or removed by :meth:`clear`.
     """
 
-    def __init__(self, cache_dir: os.PathLike, max_bytes: Optional[int] = None) -> None:
+    def __init__(self, cache_dir: os.PathLike) -> None:
         self.cache_dir = Path(cache_dir).expanduser()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Entries deleted (and bytes freed) by LRU eviction under
-        #: :attr:`max_bytes`.
-        self.evictions = 0
-        self.evicted_bytes = 0
         self.corrupt = 0
         #: Corrupt entries moved into :attr:`corrupt_dir` (vs unlinked
         #: when the move itself fails).
@@ -309,7 +298,6 @@ class ResultCache:
             self._quarantine(path)
             return None
         self.hits += 1
-        eviction.touch(path)
         return result
 
     def store(self, key: str, result: SimulationResult) -> None:
@@ -351,10 +339,6 @@ class ResultCache:
         self.stores += 1
         if self.injector is not None:
             self.injector.corrupt_point(path, self.fault_context or key[:12])
-        if self.max_bytes is not None:
-            removed, freed = eviction.evict_lru(self.cache_dir, self.max_bytes, ".json")
-            self.evictions += removed
-            self.evicted_bytes += freed
 
     def clear(self) -> int:
         """Delete every cache entry (and orphaned temp files plus the
@@ -386,34 +370,17 @@ class ResultCache:
 # Worker-side execution
 # ---------------------------------------------------------------------------
 
-#: Per-process handles on the persistent result cache, keyed by
-#: directory and size cap so a pool serving several engines keeps them
-#: distinct.
-_WORKER_CACHES: Dict[Tuple[str, Optional[int]], ResultCache] = {}
-
-
-def _worker_cache(cache_dir: str, max_bytes: Optional[int] = None) -> ResultCache:
-    """Per-process handle on the persistent cache at ``cache_dir``.
-
-    Cells keep their own :class:`ResultCache` instance (with its own
-    hit/miss counters) because cache objects don't travel across
-    ``fork``/``spawn`` usefully — the parent aggregates the per-cell
-    counter deltas reported back in each task's meta dict, whether the
-    cell ran in a worker or in-process.
-    """
-    key = (cache_dir, max_bytes)
-    if key not in _WORKER_CACHES:
-        _WORKER_CACHES[key] = ResultCache(cache_dir, max_bytes=max_bytes)
-    return _WORKER_CACHES[key]
-
-
 @dataclass(frozen=True)
 class CellTask:
     """One pending cell as the pool runs it.
 
     Tasks are pickled to forked workers.  In-process (``jobs=1``) the
     same object runs in the parent, so ``injector`` there is the
-    engine's own and records its faults directly.
+    engine's own and records its faults directly.  Only cells the
+    parent's cache lookup missed become tasks, so a task never reads
+    the cache; it stores its result there when both ``cache_dir`` and
+    ``cache_key`` are set, keeping stores off the parent's collection
+    loop.
     """
 
     config: ProcessorConfig
@@ -421,16 +388,10 @@ class CellTask:
     scale: float
     workload: str
     sampling: Optional[SamplingPlan] = None
-    #: The cell checks and fills the persistent cache itself when both
-    #: are set (another process may have finished it since the parent's
-    #: lookup), keeping stores off the parent's collection loop.
     cache_dir: Optional[str] = None
     cache_key: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
     injector: Optional[FaultInjector] = None
     checkpoint_dir: Optional[str] = None
-    #: Window fan-out for a sampled cell; only set for in-process runs.
-    sample_jobs: Optional[int] = None
 
     @property
     def label(self) -> str:
@@ -446,62 +407,33 @@ def _simulate_cell(
     With an injector every cell-side fault site is offered; the decision
     context carries the attempt number (``...:aN``), so a cell that
     crashed on one attempt draws fresh on the next.  Returns ``(result,
-    meta)`` where ``meta`` reports the pid, per-cell wall-clock, whether
-    the cell was a cell-side cache hit, the cache traffic, and any
+    meta)`` where ``meta`` reports the pid, per-cell wall-clock and any
     faults fired in a worker, so the parent can aggregate counters and
     reconstruct per-worker utilization.
     """
-    injector, key = task.injector, task.cache_key
+    injector = task.injector
     context = f"{task.label}:a{attempt}"
     started = time.perf_counter()
-    cache = (
-        _worker_cache(task.cache_dir, task.cache_max_bytes)
-        if task.cache_dir and key
-        else None
-    )
-    before = (cache.evictions, cache.evicted_bytes) if cache is not None else (0, 0)
+    probes: Tuple[object, ...] = ()
     if injector is not None:
         injector.crash_point(context)
-    result: Optional[SimulationResult] = None
-    cache_hit = False
-    try:
-        if cache is not None:
-            cache.injector = injector
-            cache.fault_context = context
-            result = cache.load(key)
-            cache_hit = result is not None
-        if result is None:
-            probes: Tuple[object, ...] = ()
-            if injector is not None:
-                injector.hang_point(context)
-                probe = injector.simulate_error_probe(context)
-                if probe is not None:
-                    probes = (probe,)
-            trace = suite_traces(task.scale, task.suite, (task.workload,))[task.workload]
-            result = Simulation(
-                task.config,
-                sampling=task.sampling,
-                probes=probes,
-                # Probes cannot cross window-worker processes, so a
-                # probed attempt drops the window fan-out.
-                sample_jobs=None if probes else task.sample_jobs,
-                checkpoint_dir=task.checkpoint_dir if task.sampling is not None else None,
-            ).run(trace)
-            if cache is not None:
-                cache.store(key, result)
-    finally:
-        if cache is not None:
-            cache.injector = None
-            cache.fault_context = ""
-    after = (cache.evictions, cache.evicted_bytes) if cache is not None else (0, 0)
-    meta: Dict[str, object] = {
-        "pid": os.getpid(),
-        "elapsed": time.perf_counter() - started,
-        "cache_hit": cache_hit,
-        "stored": cache is not None and not cache_hit,
-        "evictions": after[0] - before[0],
-        "evicted_bytes": after[1] - before[1],
-    }
+        injector.hang_point(context)
+        probe = injector.simulate_error_probe(context)
+        if probe is not None:
+            probes = (probe,)
+    trace = suite_traces(task.scale, task.suite, (task.workload,))[task.workload]
+    result = Simulation(
+        task.config,
+        sampling=task.sampling,
+        probes=probes,
+        checkpoint_dir=task.checkpoint_dir if task.sampling is not None else None,
+    ).run(trace)
+    if task.cache_dir and task.cache_key:
+        cache = ResultCache(task.cache_dir)
+        cache.injector = injector
+        cache.fault_context = context
+        cache.store(task.cache_key, result)
+    meta: Dict[str, object] = {"pid": os.getpid(), "elapsed": time.perf_counter() - started}
     # In-process the injector is the engine's own; only a worker's
     # pickled copy has fires the parent has not seen.
     if injector is not None and injector.fired and in_worker():
@@ -565,13 +497,10 @@ class SweepOutcome:
     simulated: int = 0
     cached: int = 0
     elapsed: float = 0.0
-    #: Persistent-cache traffic across the whole sweep, parent lookups
-    #: *plus* worker-side lookups (which used to be silently dropped).
+    #: Persistent-cache traffic of the sweep: one parent-side lookup
+    #: per cell, so ``cache_misses`` equals the cells that had to run.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Entries LRU-evicted from a size-capped cache during this sweep
-    #: (parent- and worker-side stores combined).
-    cache_evictions: int = 0
     #: Sum of per-cell wall-clock; for a parallel run, divided by
     #: ``elapsed * workers`` this is the pool utilization.
     worker_busy: float = 0.0
@@ -629,10 +558,19 @@ class SweepEngine:
     :func:`_simulate_cell` and :class:`repro.api.Simulation` on one
     :class:`~repro.robustness.ResilientPool`.  ``jobs=1`` is the pool's
     in-process mode: cells run in the calling process, so the SIGALRM
-    watchdog, ``sample_jobs`` window fan-out and in-process observers
-    keep working.  ``jobs>1`` forks that many workers; because the
-    simulator is deterministic pure Python, parallel results equal
-    serial ones.  ``jobs=None`` uses every available CPU.
+    watchdog and in-process observers keep working.  ``jobs>1`` forks
+    that many workers; because the simulator is deterministic pure
+    Python, parallel results equal serial ones.  ``jobs=None`` uses
+    every available CPU.  ``jobs`` is the sweep's only parallelism
+    knob: a sampled cell runs its detailed windows serially inside its
+    task.
+
+    The parent looks every cell up in ``cache`` once, before any task
+    runs; a task only stores.  ``checkpoint_dir`` lets sampled cells
+    that share warm-relevant parameters reuse one functional warm-up
+    pass (see :func:`repro.core.sampling.run_sampled`); like the
+    robustness knobs below it never influences a cell's result or
+    cache key.
 
     The keyword-only robustness knobs live on the engine, not the spec,
     because none of them may influence a cell's identity (cache keys
@@ -656,7 +594,6 @@ class SweepEngine:
         journal: Optional[SweepJournal] = None,
         resume: bool = False,
         max_worker_deaths: Optional[int] = None,
-        sample_jobs: Optional[int] = None,
         checkpoint_dir=None,
     ) -> None:
         if jobs is None:
@@ -673,18 +610,6 @@ class SweepEngine:
         self.journal = journal
         self.resume = resume
         self.max_worker_deaths = max_worker_deaths
-        #: Sampled-run performance levers (see
-        #: :func:`repro.core.sampling.run_sampled`), engine-side like the
-        #: robustness knobs because they may not influence cell identity
-        #: — cache keys are byte-identical with or without them.
-        #: ``sample_jobs`` fans each sampled cell's detailed windows over
-        #: worker processes (applied with ``jobs=1`` only; parallel
-        #: sweeps already saturate the machine with cells), and
-        #: ``checkpoint_dir`` lets every cell sharing warm-relevant
-        #: parameters reuse one functional warm-up pass.
-        if sample_jobs is not None and sample_jobs < 1:
-            raise ValueError(f"sample_jobs must be >= 1, got {sample_jobs}")
-        self.sample_jobs = sample_jobs
         self.checkpoint_dir = checkpoint_dir
         # Cumulative counters across every run() of this engine.
         self.total_simulated = 0
@@ -758,10 +683,10 @@ class SweepEngine:
         slots: List[Optional[SimulationResult]],
         keys: Sequence[str],
         rstats: Dict[str, object],
-    ) -> Dict[str, float]:
+    ) -> float:
         """Run the uncached cells on the pool; ``jobs=1`` runs in-process.
 
-        Returns the cell-side cache hits and the summed cell wall-clock.
+        Returns the summed cell wall-clock.
         """
         pending = _workload_major(cells, slots, spec)
         workers = 0 if self.jobs == 1 else min(self.jobs, len(pending))
@@ -777,22 +702,14 @@ class SweepEngine:
                 sampling=spec.sampling,
                 cache_dir=str(cache.cache_dir) if cache is not None else None,
                 cache_key=keys[cell.index] if cache is not None else None,
-                cache_max_bytes=cache.max_bytes if cache is not None else None,
                 injector=self.injector,
                 checkpoint_dir=(
                     str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
                 ),
-                # Window fan-out nests only under the in-process runner;
-                # parallel sweeps already saturate the machine with cells.
-                sample_jobs=(
-                    self.sample_jobs
-                    if workers == 0 and spec.sampling is not None
-                    else None
-                ),
             )
             tasks.append((cell.index, task, task.label))
         chunksize = _locality_chunksize(pending, workers)
-        stats = {"hits": 0.0, "busy": 0.0}
+        busy = 0.0
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         base = tracer.clock.now() if tracer is not None else 0.0
         worker_tids: Dict[object, int] = {}
@@ -800,27 +717,17 @@ class SweepEngine:
         done_box = {"done": sum(1 for slot in slots if slot is not None)}
 
         def on_event(kind: str, **info) -> None:
+            nonlocal busy
             if kind == "result":
                 index = info["task_id"]
                 result, meta = info["value"]
                 cell = by_index[index]
                 slots[index] = result
-                hit = bool(meta.get("cache_hit"))
                 elapsed = float(meta.get("elapsed", 0.0))  # type: ignore[arg-type]
-                stats["busy"] += elapsed
+                busy += elapsed
                 if self.cache is not None:
-                    # Fold the worker-side cache traffic back into the
-                    # parent's counters; without this, hits and stores
-                    # observed inside the pool were silently dropped.
-                    if hit:
-                        stats["hits"] += 1
-                        self.cache.hits += 1
-                    else:
-                        self.cache.misses += 1
-                    if meta.get("stored"):
-                        self.cache.stores += 1
-                    self.cache.evictions += int(meta["evictions"])  # type: ignore[arg-type]
-                    self.cache.evicted_bytes += int(meta["evicted_bytes"])  # type: ignore[arg-type]
+                    # The task stored the result through its own handle.
+                    self.cache.stores += 1
                 rstats["faults"] += len(meta.get("faults") or ())  # type: ignore[operator]
                 config_name = cell.config.name or cell.config.mode
                 if tracer is not None:
@@ -834,7 +741,6 @@ class SweepEngine:
                         category="cell",
                         tid=tid,
                         workload=cell.workload,
-                        cached=hit,
                     )
                 done_box["done"] += 1
                 self._journal_append(
@@ -844,11 +750,12 @@ class SweepEngine:
                         "key": keys[index],
                         "workload": cell.workload,
                         "config": config_name,
-                        "source": "cache" if hit else "simulated",
+                        "source": "simulated",
                     }
                 )
-                source = "cache hit (worker)" if hit else f"simulated ipc={result.ipc:.4f}"
-                self._report(done_box["done"], len(cells), cell, source)
+                self._report(
+                    done_box["done"], len(cells), cell, f"simulated ipc={result.ipc:.4f}"
+                )
                 if self.injector is not None and not info.get("drained"):
                     self.injector.sigint_point(f"collect:{done_box['done']}")
             elif kind == "task-error":
@@ -907,13 +814,13 @@ class SweepEngine:
             metrics = self.telemetry.metrics
             metrics.gauge("sweep.workers").set(float(workers))
             metrics.gauge("sweep.worker_utilization").set(
-                round(stats["busy"] / (pool_elapsed * workers), 4)
+                round(busy / (pool_elapsed * workers), 4)
             )
             for elapsed_cell in worker_offsets.values():
                 metrics.histogram("sweep.worker_busy_ms").observe(
                     int(elapsed_cell * 1000)
                 )
-        return stats
+        return busy
 
     def _apply_resume(
         self,
@@ -1001,9 +908,8 @@ class SweepEngine:
                             "source": "cache",
                         }
                     )
-            evictions_before = self.cache.evictions if self.cache is not None else 0
             try:
-                worker_stats = self._run_cells(spec, cells, slots, keys, rstats)
+                worker_busy = self._run_cells(spec, cells, slots, keys, rstats)
             except KeyboardInterrupt:
                 completed = sum(1 for slot in slots if slot is not None)
                 pending = len(cells) - completed
@@ -1028,18 +934,11 @@ class SweepEngine:
         ]
         if lost:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep {spec.name!r} lost {len(lost)} cells")
-        worker_hits = int(worker_stats["hits"])
-        cached += worker_hits
         simulated = len(cells) - cached - len(failed_indexes)
         self.total_simulated += simulated
         self.total_cached += cached
         cache_hits = cached if self.cache is not None else 0
-        cache_misses = (
-            len(cells) - cache_hits if self.cache is not None else 0
-        )
-        cache_evictions = (
-            self.cache.evictions - evictions_before if self.cache is not None else 0
-        )
+        cache_misses = len(cells) - cache_hits if self.cache is not None else 0
         fault_count = int(rstats["faults"])  # type: ignore[arg-type]
         if self.injector is not None:
             fault_count += len(self.injector.fired)
@@ -1050,8 +949,6 @@ class SweepEngine:
             if self.cache is not None:
                 metrics.counter("cache.hits").add(cache_hits)
                 metrics.counter("cache.misses").add(cache_misses)
-                if cache_evictions:
-                    metrics.counter("cache.evictions").add(cache_evictions)
             # Robustness counters appear only when the machinery engaged,
             # so fault-free telemetry output is byte-identical.
             if rstats["retries"]:
@@ -1081,8 +978,7 @@ class SweepEngine:
             elapsed=time.perf_counter() - start,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            cache_evictions=cache_evictions,
-            worker_busy=worker_stats["busy"],
+            worker_busy=worker_busy,
             failed_cells=failed,
             retries=int(rstats["retries"]),  # type: ignore[arg-type]
             resumed=resumed,

@@ -68,8 +68,33 @@ RECORD_FIELDS = (
 #: hot load path (one lookup per distinct record).
 _OPCODES = {op.value: op for op in OpClass}
 
+#: gzip level of every trace and checkpoint file.
+_COMPRESSLEVEL = 6
 
-def save_trace(trace: Trace, path: os.PathLike, compresslevel: int = 6) -> Path:
+
+def _write_gzip_json(path: os.PathLike, header: Dict[str, Any], body: Dict[str, Any]) -> Path:
+    """Atomically write the two-line gzip-JSON container: header, body.
+
+    The content goes to a temp file next to ``path`` and is moved into
+    place with ``os.replace``, so a crashed save never leaves a truncated
+    file where a good one is expected; the temp file is removed on
+    failure.
+    """
+    destination = Path(path).expanduser()
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    tmp = destination.with_name(f"{destination.name}.tmp.{os.getpid()}")
+    try:
+        with gzip.open(tmp, "wt", encoding="utf-8", compresslevel=_COMPRESSLEVEL) as handle:
+            handle.write(json.dumps(header) + "\n")
+            handle.write(json.dumps(body))
+        os.replace(tmp, destination)
+    finally:
+        if tmp.exists():  # only on failure; os.replace consumed it otherwise
+            tmp.unlink()
+    return destination
+
+
+def save_trace(trace: Trace, path: os.PathLike) -> Path:
     """Write ``trace`` to ``path`` as a versioned gzip-JSON file.
 
     The write is atomic (temp file + ``os.replace``), so a crashed save
@@ -100,18 +125,7 @@ def save_trace(trace: Trace, path: os.PathLike, compresslevel: int = 6) -> Path:
         "distinct_instructions": len(records),
     }
     body = {"fields": list(RECORD_FIELDS), "records": records, "index": index}
-    destination = Path(path).expanduser()
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    tmp = destination.with_name(f"{destination.name}.tmp.{os.getpid()}")
-    try:
-        with gzip.open(tmp, "wt", encoding="utf-8", compresslevel=compresslevel) as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps(body))
-        os.replace(tmp, destination)
-    finally:
-        if tmp.exists():  # only on failure; os.replace consumed it otherwise
-            tmp.unlink()
-    return destination
+    return _write_gzip_json(path, header, body)
 
 
 def _read_lines(path: Path) -> List[str]:
@@ -267,7 +281,7 @@ class WarmCheckpoint:
     warm_stats: Dict[str, list] = field(default_factory=dict)
 
 
-def save_checkpoint(checkpoint: WarmCheckpoint, path: os.PathLike, compresslevel: int = 6) -> Path:
+def save_checkpoint(checkpoint: WarmCheckpoint, path: os.PathLike) -> Path:
     """Write a warm checkpoint using the trace container's gzip-JSON layout.
 
     Same two-line shape as :func:`save_trace` — a small JSON header line
@@ -291,18 +305,7 @@ def save_checkpoint(checkpoint: WarmCheckpoint, path: os.PathLike, compresslevel
         "snapshots": list(checkpoint.snapshots),
         "warm_stats": checkpoint.warm_stats,
     }
-    destination = Path(path).expanduser()
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    tmp = destination.with_name(f"{destination.name}.tmp.{os.getpid()}")
-    try:
-        with gzip.open(tmp, "wt", encoding="utf-8", compresslevel=compresslevel) as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps(body))
-        os.replace(tmp, destination)
-    finally:
-        if tmp.exists():  # only on failure; os.replace consumed it otherwise
-            tmp.unlink()
-    return destination
+    return _write_gzip_json(path, header, body)
 
 
 def _parse_checkpoint_header(path: Path, line: str) -> Dict[str, Any]:

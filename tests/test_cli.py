@@ -243,6 +243,26 @@ class TestSampleFlagErrors:
         assert excinfo.value.code == 2
         assert "period" in capsys.readouterr().err
 
+    def test_sweep_rejects_checkpoint_dir_without_sample(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["sweep", "--suite", "pointer-chase", "--scale", "0.02",
+                     "--no-cache", "--quiet", "--checkpoint-dir", str(ckpt)]) == 2
+        assert "--checkpoint-dir requires --sample" in capsys.readouterr().err
+        assert not ckpt.exists()
+        # Simulate rejects the same flag the same way.
+        assert main(["simulate", "--workload", "daxpy", "--size", "200",
+                     "--checkpoint-dir", str(ckpt)]) == 2
+        assert "require --sample" in capsys.readouterr().err
+
+    def test_sweep_has_no_sample_jobs_flag(self, capsys):
+        """--jobs is the only parallelism knob of a sweep."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--suite", "pointer-chase", "--scale", "0.02",
+                  "--no-cache", "--quiet", "--sample", "2000:300:200",
+                  "--sample-jobs", "3"])
+        assert excinfo.value.code == 2
+        assert "--sample-jobs" in capsys.readouterr().err
+
 
 class TestCheckpointCommand:
     """repro checkpoint save|info|gc (mirrors 'repro trace')."""

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.common.config import ProcessorConfig, cooo_config, scaled_baseline
+from repro.common.config import (
+    ProcessorConfig,
+    SamplingPlan,
+    cooo_config,
+    scaled_baseline,
+)
 from repro.core.result import SimulationResult
 from repro.experiments import run_figure09
 from repro.experiments.sweep import (
@@ -493,13 +498,52 @@ class TestParallelTraceLocality:
         assert rows_of(parallel) == rows_of(serial)
 
 
-class TestWorkerCacheAggregation:
-    """Worker-side cache traffic must reach the parent's counters.
+class TestSampledPoolSweep:
+    """Sampled cells on forked workers, sharing one checkpoint directory."""
 
-    Parallel cells load/store the persistent cache inside the pool
-    workers; the per-cell meta they report is folded back into the
-    parent ResultCache counters and the SweepOutcome, so 'repro sweep'
-    summary lines see the whole sweep's cache traffic.
+    PLAN = SamplingPlan(period=2000, window=300, warmup=200)
+
+    def _spec(self):
+        configs = [
+            scaled_baseline(window=128, memory_latency=1000),
+            cooo_config(iq_size=32, sliq_size=512, memory_latency=1000),
+        ]
+        return SweepSpec(
+            "sampled-pool", configs, scale=0.03, suite="spec2000fp-xl",
+            workloads=("daxpy", "gather"), sampling=self.PLAN,
+        )
+
+    def test_pool_with_checkpoints_matches_serial(self, tmp_path):
+        from repro.core import warmstate
+        from repro.core.registry_machines import get_machine
+        from repro.experiments.runner import suite_traces
+
+        spec = self._spec()
+        pooled = SweepEngine(jobs=2, checkpoint_dir=tmp_path).run(spec)
+        serial = SweepEngine(jobs=1).run(spec)
+        assert [r.to_dict() for r in pooled.results] == [
+            r.to_dict() for r in serial.results
+        ]
+        assert all(r.sampled for r in pooled.results)
+        traces = suite_traces(spec.scale, spec.suite, spec.workloads)
+        keys = {
+            warmstate.checkpoint_key(
+                traces[cell.workload].digest(),
+                self.PLAN,
+                get_machine(cell.config.mode).pipeline_class.effective_config(cell.config),
+            )
+            for cell in spec.cells()
+        }
+        stored = {path.name for path in tmp_path.iterdir()}
+        assert stored == {warmstate.checkpoint_path(tmp_path, key).name for key in keys}
+
+
+class TestWorkerCacheAggregation:
+    """The parent looks each cell up once; cells only store.
+
+    Pool tasks store their results through their own ResultCache
+    handle and never read the cache, so the parent's hit/miss counters
+    equal the SweepOutcome's and a miss means the cell was simulated.
     """
 
     def test_parallel_run_reports_worker_stores_and_misses(self, tmp_path):
@@ -511,11 +555,18 @@ class TestWorkerCacheAggregation:
         assert outcome.cache_hits == 0
         assert outcome.cache_misses == cells
         assert outcome.worker_busy > 0
-        # Parent lookups missed every cell, worker lookups missed again,
-        # and the workers stored every fresh result.
+        # Parent lookups missed every cell and the workers stored every
+        # fresh result; no task read the cache again.
         assert cache.stores == cells
-        assert cache.misses == 2 * cells
+        assert cache.misses == cells
         assert cache.hits == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_sweep_counts_one_miss_per_simulated_cell(self, tmp_path, jobs):
+        cache = ResultCache(tmp_path)
+        outcome = SweepEngine(jobs=jobs, cache=cache).run(small_spec())
+        assert outcome.simulated == len(small_spec().cells())
+        assert cache.misses == outcome.cache_misses == outcome.simulated
 
     def test_second_parallel_run_hits_in_parent(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -528,7 +579,7 @@ class TestWorkerCacheAggregation:
         assert second.cache_misses == 0
         assert rows_of(second) == rows_of(first)
 
-    def test_worker_cell_hits_cache_directly(self, tmp_path):
+    def test_worker_cell_stores_without_reading_cache(self, tmp_path, monkeypatch):
         from repro.experiments.sweep import CellTask, _simulate_cell
 
         spec = small_spec()
@@ -538,13 +589,16 @@ class TestWorkerCacheAggregation:
             cell.config, spec.suite, spec.scale, cell.workload,
             cache_dir=str(tmp_path), cache_key=key,
         )
-        first_result, first_meta = _simulate_cell(task)
-        assert first_meta["cache_hit"] is False
-        assert first_meta["stored"] is True
-        second_result, second_meta = _simulate_cell(task)
-        assert second_meta["cache_hit"] is True
-        assert second_meta["stored"] is False
-        assert second_result.summary_row() == first_result.summary_row()
+
+        def no_load(self, key):
+            raise AssertionError("a cell task must not read the result cache")
+
+        monkeypatch.setattr(ResultCache, "load", no_load)
+        result, _meta = _simulate_cell(task)
+        # A second run simulates and overwrites; it never reads the entry.
+        _simulate_cell(task)
+        monkeypatch.undo()
+        assert ResultCache(tmp_path).load(key).to_dict() == result.to_dict()
 
 
 class TestSweepTelemetry:
@@ -588,75 +642,10 @@ class TestSweepTelemetry:
 
 
 class TestResultCacheEviction:
-    """The size cap added with the warm-checkpoint PR: LRU by mtime."""
-
-    def _entry_bytes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        SweepEngine(jobs=1, cache=cache).run(small_spec())
-        entries = sorted(tmp_path.glob("*.json"))
-        assert len(entries) == 4
-        return max(path.stat().st_size for path in entries)
+    """The result cache has no size cap: stores never evict."""
 
     def test_unbounded_by_default(self, tmp_path):
         cache = ResultCache(tmp_path)
         SweepEngine(jobs=1, cache=cache).run(small_spec())
-        assert cache.max_bytes is None
-        assert cache.evictions == 0 and cache.evicted_bytes == 0
-
-    def test_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            ResultCache(tmp_path, max_bytes=-1)
-
-    def test_store_evicts_down_to_budget(self, tmp_path):
-        entry = self._entry_bytes(tmp_path / "probe")
-        budget = 2 * entry  # room for at most two of the four entries
-        cache = ResultCache(tmp_path / "capped", max_bytes=budget)
-        outcome = SweepEngine(jobs=1, cache=cache).run(small_spec())
-        remaining = list((tmp_path / "capped").glob("*.json"))
-        assert sum(path.stat().st_size for path in remaining) <= budget
-        assert len(remaining) < 4
-        assert cache.evictions == 4 - len(remaining)
-        assert cache.evicted_bytes > 0
-        assert outcome.cache_evictions == cache.evictions
-
-    def test_outcome_reports_zero_without_cap(self, tmp_path):
-        outcome = SweepEngine(jobs=1, cache=ResultCache(tmp_path)).run(small_spec())
-        assert outcome.cache_evictions == 0
-
-    def test_lru_prefers_recently_loaded(self, tmp_path):
-        """A load hit refreshes recency, so eviction removes the cold key."""
-        import time as _time
-
-        cache = ResultCache(tmp_path)
-        result = SweepEngine(jobs=1, cache=cache).run(small_spec()).results[0]
-        cache.clear()
-        cache.store("cold", result)
-        _time.sleep(0.05)
-        cache.store("warm", result)
-        _time.sleep(0.05)
-        # Touch the older entry: it becomes the most recently used.
-        assert cache.load("cold") is not None
-        entry = cache.path_for("warm").stat().st_size
-        capped = ResultCache(tmp_path, max_bytes=entry)
-        capped.store("new", result)
-        assert capped.evictions >= 1
-        assert cache.path_for("cold").exists() or cache.path_for("new").exists()
-        assert not cache.path_for("warm").exists(), (
-            "the least recently used entry should have been evicted first"
-        )
-
-    def test_parallel_workers_report_evictions(self, tmp_path):
-        entry = self._entry_bytes(tmp_path / "probe")
-        cache = ResultCache(tmp_path / "capped", max_bytes=entry)
-        outcome = SweepEngine(jobs=2, cache=cache).run(small_spec())
-        assert outcome.cache_evictions >= 1
-        remaining = list((tmp_path / "capped").glob("*.json"))
-        assert sum(path.stat().st_size for path in remaining) <= entry
-
-    def test_eviction_keeps_results_correct(self, tmp_path):
-        baseline = SweepEngine(jobs=1).run(small_spec())
-        entry = self._entry_bytes(tmp_path / "probe")
-        capped = SweepEngine(
-            jobs=1, cache=ResultCache(tmp_path / "capped", max_bytes=entry)
-        ).run(small_spec())
-        assert rows_of(capped) == rows_of(baseline)
+        assert cache.stores == 4
+        assert len(list(tmp_path.glob("*.json"))) == 4

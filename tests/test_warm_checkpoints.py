@@ -325,17 +325,33 @@ class TestWarmSharing:
             assert by_name[trace.name].to_dict() == bare.to_dict()
 
     def test_checkpoint_dir_eviction_budget(self, trace, tmp_path):
-        """checkpoint_max_bytes caps the directory like the sweep cache."""
+        """checkpoint_max_bytes (``checkpoint save --max-bytes``) caps the directory."""
         config = machine_config("baseline")
         run_sampled(config, trace, PLAN, checkpoint_dir=tmp_path)
         assert list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
         other = SamplingPlan(period=5000, window=900, warmup=100)
-        run_sampled(
-            config,
-            trace,
-            other,
-            checkpoint_dir=tmp_path,
-            checkpoint_max_bytes=1,
-        )
+        warm_checkpoint(config, trace, other, tmp_path, checkpoint_max_bytes=1)
         remaining = list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
         assert len(remaining) == 0, "a 1-byte budget should evict everything"
+
+    def test_loaded_checkpoint_survives_gc(self, trace, tmp_path, capsys):
+        """A matching load refreshes recency, so gc evicts the unused one."""
+        import os
+
+        from repro.cli import main
+
+        config = machine_config("baseline")
+        hot, _key, _reused = warm_checkpoint(config, trace, PLAN, tmp_path)
+        cold_plan = SamplingPlan(period=5000, window=900, warmup=100)
+        cold, _key, _reused = warm_checkpoint(config, trace, cold_plan, tmp_path)
+        # The hot checkpoint is the older file until it is used.
+        os.utime(hot, (1_000_000, 1_000_000))
+        os.utime(cold, (2_000_000, 2_000_000))
+        sampling_mod.WARM_PASSES = 0
+        run_sampled(config, trace, PLAN, checkpoint_dir=tmp_path)
+        assert sampling_mod.WARM_PASSES == 0, "the run should adopt the hot checkpoint"
+        assert hot.stat().st_mtime > cold.stat().st_mtime
+        budget = hot.stat().st_size
+        assert main(["checkpoint", "gc", "--dir", str(tmp_path), "--max-bytes", str(budget)]) == 0
+        assert "evicted 1 checkpoint(s)" in capsys.readouterr().out
+        assert hot.exists() and not cold.exists()
