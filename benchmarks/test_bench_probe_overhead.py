@@ -12,13 +12,18 @@ invariants keep that honest:
 * **event dispatch** — attaching a probe that overrides *no* events
   binds no hooks and must therefore cost nothing measurable either.
 
-Rounds are interleaved (default, bare, default, bare, ...) and each
-side keeps its best, so a scheduler hiccup hits both configurations
-alike instead of biasing one.
+Each round runs the two configurations back to back (which one goes
+first alternates) after a full garbage collection, timed with
+``time.process_time``.  Host load that slows one run of a round slows
+its partner about as much, so the round's ratio cancels it; the median
+over many short rounds ignores the few rounds where the load changed
+between the two runs.  A best-of-N time per side does not cancel it:
+one side's single lucky quiet run decides the ratio.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from conftest import run_once
@@ -30,24 +35,30 @@ from repro.workloads import daxpy
 
 #: Allowed slowdown of the leaner configuration vs. the default path.
 TOLERANCE = 1.05
-ROUNDS = 5
+#: Odd, so the median round is one measured round.
+ROUNDS = 61
 
 
 def _trace():
-    return daxpy(elements=500)
+    # Short (~1000 instructions) so the two runs of a round sit close in time.
+    return daxpy(elements=150)
 
 
-def _interleaved_best(sim_a: Simulation, sim_b: Simulation, trace, rounds: int = ROUNDS):
-    """Best-of-N wall clock for both simulations, rounds interleaved."""
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        sim_a.run(trace)
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        sim_b.run(trace)
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+def _median_round(sim_a: Simulation, sim_b: Simulation, trace, rounds: int = ROUNDS):
+    """CPU times ``(a, b)`` of the round whose ratio ``b / a`` is the median."""
+    sims = (sim_a, sim_b)
+    timed = []
+    for round_index in range(rounds):
+        times = [0.0, 0.0]
+        for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+            gc.collect()
+            start = time.process_time()
+            sims[side].run(trace)
+            times[side] = time.process_time() - start
+        timed.append(times)
+    timed.sort(key=lambda times: times[1] / times[0])
+    t_a, t_b = timed[len(timed) // 2]
+    return t_a, t_b
 
 
 def test_bench_no_probe_fast_path_vs_default(benchmark):
@@ -61,7 +72,7 @@ def test_bench_no_probe_fast_path_vs_default(benchmark):
     assert pipeline.probes == ()
     assert pipeline._hooks_dispatch == [] and pipeline._hooks_cycle == []
     t_default, t_bare = run_once(
-        benchmark, lambda: _interleaved_best(default, bare, trace)
+        benchmark, lambda: _median_round(default, bare, trace)
     )
     assert t_bare <= TOLERANCE * t_default, (
         f"no-probe fast path took {t_bare:.4f}s vs. default {t_default:.4f}s "
@@ -86,7 +97,7 @@ def test_bench_telemetry_disabled_path_is_free(benchmark):
     pipeline = disabled.pipeline(trace)
     assert len(pipeline.probes) == 1  # occupancy only; telemetry added nothing
     t_default, t_disabled = run_once(
-        benchmark, lambda: _interleaved_best(default, disabled, trace)
+        benchmark, lambda: _median_round(default, disabled, trace)
     )
     assert t_disabled <= TOLERANCE * t_default, (
         f"telemetry-disabled run took {t_disabled:.4f}s vs. default "
@@ -106,7 +117,7 @@ def test_bench_inert_probe_costs_nothing(benchmark):
     assert len(pipeline.probes) == 2  # occupancy + inert
     assert len(pipeline._hooks_dispatch) == 1  # only occupancy bound a hook
     t_default, t_inert = run_once(
-        benchmark, lambda: _interleaved_best(default, inert, trace)
+        benchmark, lambda: _median_round(default, inert, trace)
     )
     assert t_inert <= TOLERANCE * t_default, (
         f"inert probe took {t_inert:.4f}s vs. default {t_default:.4f}s; "

@@ -5,7 +5,7 @@ machine so that regressions in the simulator itself (as opposed to the
 modelled machines) are visible in the pytest-benchmark output.
 
 The benchmark definitions live in :mod:`repro.perf` (shared with
-``repro bench`` and ``benchmarks/record.py``).  The headline entries
+``repro bench``).  The headline entries
 (``baseline-128``, ``baseline-4096``, ``cooo-64-1024``) run the paper's
 target regime — kilo-instruction windows waiting on 500-cycle dependent
 loads — which is where the event-driven cycle-skipping kernel matters;
@@ -71,7 +71,7 @@ def test_event_driven_speedup_guard():
 
 
 def test_bench_record_rows_are_machine_readable(tmp_path):
-    """repro bench / record.py appends valid JSON rows (smoke, one tiny run)."""
+    """repro bench appends valid JSON rows (smoke, one tiny run)."""
     from repro.perf import append_record, run_benchmarks
 
     rows = run_benchmarks(["cooo-64-1024-daxpy"], repeats=1)

@@ -9,10 +9,9 @@ the COoO machine's cheap structures (SLIQ, checkpoints) are scaled — while
 its expensive structures (issue queue, pseudo-ROB) stay fixed at 64 entries.
 """
 
-from repro import api, cooo_config, scaled_baseline
+from repro import api, cooo_config, get_suite, scaled_baseline
 from repro.analysis import format_table
 from repro.experiments import suite_ipc, suite_metric
-from repro.workloads import spec2000fp_like
 
 
 def run(config, traces):
@@ -21,7 +20,7 @@ def run(config, traces):
 
 def main() -> None:
     memory_latency = 1000
-    traces = spec2000fp_like(scale=0.4)
+    traces = get_suite("spec2000fp_like").build(scale=0.4)
     print(f"suite: {', '.join(traces)} (memory latency {memory_latency} cycles)\n")
 
     rows = []

@@ -8,9 +8,9 @@ regenerates every figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import api, cooo_config, scaled_baseline, spec2000fp_like
+    from repro import api, cooo_config, get_suite, scaled_baseline
 
-    traces = spec2000fp_like(scale=0.3)
+    traces = get_suite("spec2000fp_like").build(scale=0.3)
     baseline = scaled_baseline(window=128, memory_latency=500)
     cooo = cooo_config(iq_size=64, sliq_size=1024, memory_latency=500)
     for name, trace in traces.items():
@@ -59,14 +59,14 @@ from .core.registry_machines import (
     register_machine,
     unregister_machine,
 )
-from .core.result import SimulationResult, average_ipc
+from .core.result import SimulationResult
 from .isa.instruction import DynInst, InstState, Instruction, RetireClass
 from .isa.opcodes import OpClass
 from .trace.io import load_trace, save_trace, trace_info
 from .trace.trace import Trace, TraceCursor
 from .workloads.registry import (
     WorkloadSpec,
-    build_workload,
+    get_suite,
     get_workload,
     register_suite,
     register_workload,
@@ -74,7 +74,6 @@ from .workloads.registry import (
     workload_names,
 )
 from .workloads.scenario import Phase, Scenario, interleave
-from .workloads.suite import get_suite, integer_suite, spec2000fp_like
 
 # The facade imports experiment modules lazily; importing it last keeps
 # the package import graph acyclic.
@@ -123,7 +122,6 @@ __all__ = [
     "Simulation",
     "run",
     "run_many",
-    "average_ipc",
     "SimulationResult",
     "DynInst",
     "InstState",
@@ -138,14 +136,11 @@ __all__ = [
     "Phase",
     "Scenario",
     "WorkloadSpec",
-    "build_workload",
     "get_suite",
     "get_workload",
-    "integer_suite",
     "interleave",
     "register_suite",
     "register_workload",
-    "spec2000fp_like",
     "suite_names",
     "workload_names",
     "__version__",

@@ -64,7 +64,6 @@ from .trace.trace import Trace
 from .workloads.registry import (
     SuiteSpec,
     WorkloadSpec,
-    build_workload,
     get_suite,
     get_workload,
     register_suite,
@@ -268,17 +267,12 @@ def run(
 
 def run_many(
     configs: Sequence[ProcessorConfig],
-    traces: Optional[Mapping[str, Trace]] = None,
     *,
     suite: str = "spec2000fp_like",
     scale: Optional[float] = None,
     workloads: Optional[Sequence[str]] = None,
     jobs: int = 1,
     cache=None,
-    use_cache: bool = True,
-    probes: Sequence[Probe] = (),
-    max_cycles: Optional[int] = None,
-    stop_when: Optional[StopFn] = None,
     progress: Optional[Callable[[str], None]] = None,
     name: str = "api-run-many",
     sampling: Optional[SamplingPlan] = None,
@@ -290,96 +284,34 @@ def run_many(
     journal=None,
     resume: bool = False,
 ) -> List[Tuple[ProcessorConfig, Dict[str, SimulationResult]]]:
-    """Run every config over every workload; results in config order.
+    """Run every config over every workload of ``suite``; results in config order.
 
-    Two modes:
+    The (config × workload) grid of ``suite`` at ``scale`` executes on
+    the sweep engine — ``jobs`` worker processes, optional persistent
+    ``cache`` (a :class:`~repro.experiments.sweep.ResultCache`; ``None``
+    simulates every cell live), per-cell ``progress`` messages.  To run
+    configs over explicit traces with probes or early stop, use
+    ``Simulation(config, ...).run_suite(traces)`` instead.
 
-    * **Suite mode** (``traces`` omitted): the (config × workload) grid
-      of ``suite`` at ``scale`` executes on the sweep engine — ``jobs``
-      worker processes, optional persistent ``cache``
-      (a :class:`~repro.experiments.sweep.ResultCache`), per-cell
-      ``progress`` messages.  Probes cannot cross process/cache
-      boundaries, so ``probes``/``stop_when``/``max_cycles`` must be
-      unset.
     ``sampling`` applies a :class:`~repro.common.config.SamplingPlan` to
-    every cell in either mode; sampled cells get their own cache keys,
-    so sampled and exact results never collide.  ``checkpoint_dir`` is
-    the sampled-run performance lever (reusable warm-state checkpoints
-    — see :func:`repro.core.sampling.run_sampled`); results are
-    bit-identical with or without it and cache keys are untouched.
-    ``jobs`` is the only parallelism knob: sampled cells run their
-    detailed windows serially inside their task.
-
-    ``use_cache=False`` is a hard guard that forces every cell to
-    simulate live, overriding any ``cache`` argument — validation runs
-    (the fuzzer, the differential oracles) use it so their results can
-    neither poison nor be poisoned by the persistent sweep cache.
+    every cell; sampled cells get their own cache keys, so sampled and
+    exact results never collide.  ``checkpoint_dir`` is the sampled-run
+    performance lever (reusable warm-state checkpoints — see
+    :func:`repro.core.sampling.run_sampled`); results are bit-identical
+    with or without it and cache keys are untouched.  ``jobs`` is the
+    only parallelism knob: sampled cells run their detailed windows
+    serially inside their task.
 
     The fault-tolerance knobs (``cell_timeout``, ``retry``, ``injector``,
-    ``journal``, ``resume``) apply to suite mode only and are handed to
-    the :class:`~repro.experiments.sweep.SweepEngine` unchanged; see its
-    docstring.  Explicit-trace mode rejects them, like ``jobs``/``cache``.
-
-    * **Explicit-trace mode** (``traces`` given): each config runs the
-      given traces serially in-process, with probe/early-stop support
-      and no caching.  The *same* probe instances observe every
-      (config, workload) run in sequence; a probe that resets its state
-      in ``on_attach`` therefore ends holding only the last run's data —
-      accumulate into external state (e.g. via ``CallbackProbe``) to
-      gather across runs.
+    ``journal``, ``resume``) are handed to the
+    :class:`~repro.experiments.sweep.SweepEngine` unchanged; see its
+    docstring.
 
     Returns ``[(config, {workload: result}), ...]`` in declared order.
     """
     from .experiments.runner import DEFAULT_SCALE
     from .experiments.sweep import SweepEngine, SweepSpec
 
-    if not use_cache:
-        cache = None
-
-    if traces is not None:
-        if jobs != 1 or cache is not None:
-            raise ValueError(
-                "explicit traces run serially and uncached; use suite mode "
-                "(omit traces) for jobs/cache"
-            )
-        if (
-            cell_timeout is not None
-            or retry is not None
-            or injector is not None
-            or journal is not None
-            or resume
-        ):
-            raise ValueError(
-                "cell_timeout/retry/injector/journal/resume apply to suite "
-                "mode (omit traces); explicit traces run bare"
-            )
-        out: List[Tuple[ProcessorConfig, Dict[str, SimulationResult]]] = []
-        for config in configs:
-            sim = Simulation(
-                config,
-                probes=probes,
-                max_cycles=max_cycles,
-                stop_when=stop_when,
-                sampling=sampling,
-                checkpoint_dir=checkpoint_dir,
-                telemetry=telemetry,
-            )
-            results: Dict[str, SimulationResult] = {}
-            for workload, trace in traces.items():
-                results[workload] = sim.run(trace)
-                if progress is not None:
-                    progress(
-                        f"{config.name or config.mode} x {workload}: "
-                        f"ipc={results[workload].ipc:.4f}"
-                    )
-            out.append((config, results))
-        return out
-
-    if probes or stop_when is not None or max_cycles is not None:
-        raise ValueError(
-            "probes/stop_when/max_cycles require explicit traces "
-            "(suite mode fans out over processes and a persistent cache)"
-        )
     spec = SweepSpec(
         name,
         list(configs),
@@ -453,7 +385,6 @@ __all__ = [
     "Simulation",
     "SuiteSpec",
     "WorkloadSpec",
-    "build_workload",
     "create_pipeline",
     "fuzz",
     "get_machine",

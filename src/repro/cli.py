@@ -8,19 +8,16 @@ The subcommands cover the common workflows:
     machine organization (see ``repro modes``); ``--workload``/``--suite``
     accept any registered workload or suite (see ``repro workloads``).
 
-``experiment``
-    Regenerate one of the paper's figures (or the checkpoint-policy
-    ablation) and print its table.  Execution routes through the sweep
-    engine: ``--jobs N`` simulates grid cells on N worker processes and a
-    persistent result cache (``--cache-dir``, disable with ``--no-cache``)
-    skips cells that were already simulated with identical parameters.
-    ``--suite`` swaps the workload suite under the figure's machine grid.
-
 ``sweep``
-    Regenerate one or more experiments (or ``all``) through the sweep
-    engine with per-cell progress reporting — the bulk way to rebuild the
-    whole evaluation section.  With ``--suite`` and no experiment names,
-    sweeps a standard machine-comparison grid over that suite instead.
+    Regenerate one or more of the paper's figures (or the
+    checkpoint-policy ablation, or ``all``) and print their tables.
+    Execution routes through the sweep engine: ``--jobs N`` simulates
+    grid cells on N worker processes and a persistent result cache
+    (``--cache-dir``, disable with ``--no-cache``) skips cells that were
+    already simulated with identical parameters.  ``--suite`` swaps the
+    workload suite under each figure's machine grid; with ``--suite`` and
+    no experiment names, sweeps a standard machine-comparison grid over
+    that suite instead.
 
 ``trace``
     Save, inspect and replay trace files (versioned gzip-JSON): generate
@@ -70,8 +67,8 @@ Examples::
     python -m repro simulate --machine baseline --suite spec2000fp-xl --scale 1.0 \
         --sample 50000:8000:4000                            # sampled XL run with CI
     python -m repro sweep --suite chase-xl --sample 50000:8000:4000 --jobs 4
-    python -m repro experiment figure09 --scale 0.5
-    python -m repro experiment figure09 --jobs 4 --suite pointer-chase
+    python -m repro sweep figure09 --scale 0.5
+    python -m repro sweep figure09 --jobs 4 --suite pointer-chase
     python -m repro sweep figure09 figure11 --jobs 8        # two figures, shared cache
     python -m repro sweep all --full --jobs 8 --json out.json
     python -m repro sweep --suite server-mix --jobs 4       # machine grid over one suite
@@ -99,9 +96,8 @@ import json
 import logging
 import sys
 import time
-from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .analysis.report import format_table
 from .api import Simulation
@@ -123,31 +119,8 @@ from .workloads.registry import (
     get_workload,
     suite_names,
     suite_specs,
-    workload_names,
     workload_specs,
 )
-
-
-class _WorkloadView(Mapping):
-    """Live ``name -> fn(size)`` view over the workload registry.
-
-    Kept for code written against the original module-level ``WORKLOADS``
-    dict; runtime-registered workloads appear automatically.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[int], Trace]:
-        spec = get_workload(name)
-        return lambda size: spec.build(size=size)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(workload_names())
-
-    def __len__(self) -> int:
-        return len(workload_names())
-
-
-#: Individual workload generators exposed on the command line.
-WORKLOADS: Mapping[str, Callable[[int], Trace]] = _WorkloadView()
 
 
 def build_machine(args: argparse.Namespace) -> ProcessorConfig:
@@ -189,6 +162,14 @@ def parse_sampling(args: argparse.Namespace) -> Optional[SamplingPlan]:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _checkpoint_dir_without_sample(args: argparse.Namespace) -> bool:
+    """True, after printing the usage error, when --checkpoint-dir lacks --sample."""
+    if args.checkpoint_dir is not None and not args.sample:
+        print("error: --checkpoint-dir requires --sample", file=sys.stderr)
+        return True
+    return False
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -261,10 +242,10 @@ def _progress_logger(name: str):
     return logger.info
 
 
-def build_engine(args: argparse.Namespace, progress: bool = False) -> SweepEngine:
+def build_engine(args: argparse.Namespace) -> SweepEngine:
     """Translate the engine CLI flags into a SweepEngine.
 
-    Besides --jobs/--cache-dir/--no-cache this wires the robustness
+    Besides --jobs/--cache-dir/--no-cache/--quiet this wires the robustness
     knobs: --cell-timeout, --retries, --journal/--resume, and the
     --inject/--inject-seed fault plan.  Raises SystemExit(2) with a
     clean message if the cache directory is unusable (e.g. the path
@@ -278,45 +259,40 @@ def build_engine(args: argparse.Namespace, progress: bool = False) -> SweepEngin
         except OSError as exc:
             print(f"error: unusable cache directory {cache_dir}: {exc}", file=sys.stderr)
             raise SystemExit(2)
-    reporter = _progress_logger("sweep") if progress else None
+    reporter = None if args.quiet else _progress_logger("sweep")
     retry = None
-    retries = getattr(args, "retries", None)
-    if retries is not None:
+    if args.retries is not None:
         from .robustness import RetryPolicy
 
-        retry = RetryPolicy(max_attempts=retries)
+        retry = RetryPolicy(max_attempts=args.retries)
     injector = None
-    plan_spec = getattr(args, "inject", None)
-    if plan_spec:
-        from .common.errors import ConfigurationError
+    if args.inject:
         from .robustness import FaultInjector, parse_fault_plan
 
         try:
-            plan = parse_fault_plan(plan_spec, seed=getattr(args, "inject_seed", 0))
+            plan = parse_fault_plan(args.inject, seed=args.inject_seed)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
         injector = FaultInjector(plan)
     journal = None
-    journal_path = getattr(args, "journal", None)
-    if journal_path:
+    if args.journal:
         from .robustness import SweepJournal
 
-        journal = SweepJournal(journal_path)
-    resume = bool(getattr(args, "resume", False))
-    if resume and journal is None:
+        journal = SweepJournal(args.journal)
+    if args.resume and journal is None:
         print("error: --resume requires --journal FILE", file=sys.stderr)
         raise SystemExit(2)
     return SweepEngine(
         jobs=args.jobs,
         cache=cache,
         progress=reporter,
-        cell_timeout=getattr(args, "cell_timeout", None),
+        cell_timeout=args.cell_timeout,
         retry=retry,
         injector=injector,
         journal=journal,
-        resume=resume,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        resume=args.resume,
+        checkpoint_dir=args.checkpoint_dir,
     )
 
 
@@ -324,59 +300,11 @@ def _experiment_kwargs(args: argparse.Namespace, runner, engine: SweepEngine) ->
     kwargs: Dict[str, object] = {"engine": engine}
     if args.scale is not None:
         kwargs["scale"] = args.scale
-    if getattr(args, "full", False) and "quick" in runner.__code__.co_varnames:
+    if args.full and "quick" in runner.__code__.co_varnames:
         kwargs["quick"] = False
-    if getattr(args, "suite", None) and "suite" in runner.__code__.co_varnames:
+    if args.suite and "suite" in runner.__code__.co_varnames:
         kwargs["suite"] = args.suite
     return kwargs
-
-
-def _validate_suite_argument(args: argparse.Namespace) -> bool:
-    """Resolve an optional --suite up front so unknown names exit cleanly."""
-    suite = getattr(args, "suite", None)
-    if suite:
-        try:
-            get_suite(suite)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return False
-    return True
-
-
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if not _validate_suite_argument(args):
-        return 2
-    if args.name not in EXPERIMENTS:
-        print(
-            f"error: unknown experiment {args.name!r}; available: "
-            f"{', '.join(available_experiments())}",
-            file=sys.stderr,
-        )
-        return 2
-    runner = EXPERIMENTS[args.name]
-    engine = build_engine(args, progress=args.progress)
-    experiment = runner(**_experiment_kwargs(args, runner, engine))
-    print(experiment.report())
-    if engine.cache is not None:
-        print(
-            f"cells: {engine.total_simulated} simulated, {engine.total_cached} cached"
-            f" (cache: {engine.cache.cache_dir})",
-            file=sys.stderr,
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "experiment": experiment.experiment,
-                    "description": experiment.description,
-                    "rows": experiment.rows,
-                    "notes": experiment.notes,
-                },
-                handle,
-                indent=2,
-            )
-        print(f"\nwrote {args.json}")
-    return 0
 
 
 def _trace_filename(name: str) -> str:
@@ -480,9 +408,7 @@ def cmd_checkpoint_save(args: argparse.Namespace) -> int:
     from .core.sampling import warm_checkpoint
 
     try:
-        path, key, reused = warm_checkpoint(
-            config, trace, plan, args.dir, checkpoint_max_bytes=args.max_bytes
-        )
+        path, key, reused = warm_checkpoint(config, trace, plan, args.dir)
     except (ConfigurationError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -591,12 +517,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
+    if _checkpoint_dir_without_sample(args):
+        return 2
     sampling = parse_sampling(args)
     session = TelemetrySession(deterministic=args.deterministic, timeline=False)
     started = time.perf_counter()
     with session.tracer.span("trace-build", category="trace"):
         config, workload, trace = _parse_cell(args.cell, args)
-    result = Simulation(config, sampling=sampling, telemetry=session).run(trace)
+    result = Simulation(
+        config, sampling=sampling, checkpoint_dir=args.checkpoint_dir, telemetry=session
+    ).run(trace)
     wall = time.perf_counter() - started
     print(f"machine: {config.name or config.mode}  workload: {workload}"
           f" ({len(trace)} instructions)")
@@ -628,10 +558,14 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     """Render the per-instruction pipeline timeline of one cell."""
     from .telemetry import TelemetrySession, render_timeline
 
+    if _checkpoint_dir_without_sample(args):
+        return 2
     sampling = parse_sampling(args)
     config, workload, trace = _parse_cell(args.cell, args)
     session = TelemetrySession(stalls=False, timeline_capacity=args.capacity)
-    Simulation(config, sampling=sampling, telemetry=session).run(trace)
+    Simulation(
+        config, sampling=sampling, checkpoint_dir=args.checkpoint_dir, telemetry=session
+    ).run(trace)
     probe = session.timeline
     assert probe is not None
     if args.window_range:
@@ -673,11 +607,7 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
     """Sweep the standard machine grid over one registered suite."""
     from .experiments.runner import DEFAULT_SCALE
 
-    try:
-        suite = get_suite(args.suite)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    suite = get_suite(args.suite)  # cmd_sweep already rejected unknown names
     scale = args.scale if args.scale is not None else DEFAULT_SCALE
     sampling = parse_sampling(args)
     spec = SweepSpec(
@@ -687,7 +617,7 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
         suite=args.suite,
         sampling=sampling,
     )
-    engine = build_engine(args, progress=not args.quiet)
+    engine = build_engine(args)
     outcome = engine.run(spec)
     rows = []
     for config, results in outcome.per_config():
@@ -735,13 +665,17 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not _validate_suite_argument(args):
-        return 2
-    if args.checkpoint_dir is not None and not args.sample:
-        print("error: --checkpoint-dir requires --sample", file=sys.stderr)
+    if args.suite:
+        # Resolve --suite up front so an unknown name exits before any cell runs.
+        try:
+            get_suite(args.suite)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+    if _checkpoint_dir_without_sample(args):
         return 2
     if not args.names:
-        if getattr(args, "suite", None):
+        if args.suite:
             return cmd_suite_sweep(args)
         print(
             "error: provide experiment names (see 'repro list'), or --suite "
@@ -749,7 +683,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if getattr(args, "sample", None):
+    if args.sample:
         print(
             "error: --sample applies to suite-grid sweeps (--suite without "
             "experiment names); the figure experiments reproduce the paper's "
@@ -771,7 +705,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
     names = list(dict.fromkeys(names))  # dedup (e.g. "all figure09"), keep order
-    engine = build_engine(args, progress=not args.quiet)
+    engine = build_engine(args)
     start = time.perf_counter()
     payload: Dict[str, object] = {}
     for name in names:
@@ -848,11 +782,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the simulator throughput benchmarks (see repro.perf).
-
-    The argument set comes from repro.perf.add_bench_arguments, so
-    'repro bench' and 'python benchmarks/record.py' behave identically.
-    """
+    """Run the simulator throughput benchmarks (see repro.perf)."""
     from .perf import run_from_args
 
     return run_from_args(args)
@@ -1108,22 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="seed for the --inject plan (same seed, same faults)",
         )
 
-    experiment = subparsers.add_parser("experiment", help="regenerate one paper figure")
-    experiment.add_argument("name", help="experiment name (see 'repro list')")
-    experiment.add_argument("--scale", type=float, default=None)
-    experiment.add_argument("--full", action="store_true", help="use the full parameter grid")
-    experiment.add_argument(
-        "--suite", default=None,
-        help="registered workload suite to run the figure's machines over "
-             "(default: the paper's spec2000fp_like)",
-    )
-    experiment.add_argument("--json", default=None, help="write the rows to this JSON file")
-    add_engine_arguments(experiment)
-    experiment.add_argument(
-        "--progress", action="store_true", help="report per-cell progress on stderr"
-    )
-    experiment.set_defaults(func=cmd_experiment)
-
     sweep = subparsers.add_parser(
         "sweep", help="regenerate experiments through the parallel sweep engine"
     )
@@ -1205,10 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint_save.add_argument("--dir", default="warm-checkpoints",
                                  help="checkpoint directory (default warm-checkpoints/)")
-    checkpoint_save.add_argument(
-        "--max-bytes", type=int, default=None, metavar="BYTES",
-        help="LRU-evict checkpoint files past this directory size",
-    )
     add_machine_arguments(checkpoint_save)
     checkpoint_save.set_defaults(func=cmd_checkpoint_save)
 

@@ -6,16 +6,16 @@ size-cap policy: keep the most recently *used* entries, evict the rest.
 "Used" is the file's mtime: a write sets it and every matching load
 (:func:`repro.core.warmstate.load_matching_checkpoint`) refreshes it
 (``os.utime``), so recency survives process restarts the way an
-in-memory LRU cannot.  ``repro checkpoint gc`` and ``repro checkpoint
-save --max-bytes`` apply the cap; the sweep ``ResultCache`` is
-unbounded and does not use this module.
+in-memory LRU cannot.  ``repro checkpoint gc`` applies the cap; sampled
+runs never evict, and the sweep ``ResultCache`` is unbounded and does
+not use this module.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def directory_size(directory: os.PathLike, suffix: str) -> int:
@@ -37,19 +37,14 @@ def touch(path: os.PathLike) -> None:
         pass
 
 
-def evict_lru(
-    directory: os.PathLike, max_bytes: Optional[int], suffix: str
-) -> Tuple[int, int]:
+def evict_lru(directory: os.PathLike, max_bytes: int, suffix: str) -> Tuple[int, int]:
     """Delete oldest-mtime ``suffix`` files until the store fits ``max_bytes``.
 
-    Returns ``(files_removed, bytes_freed)``.  ``max_bytes`` of None (no
-    cap) or a missing directory removes nothing.  Races with concurrent
-    writers are tolerated: a file that disappears mid-scan is simply
-    skipped, and a store momentarily over budget is trimmed on the next
-    call.
+    Returns ``(files_removed, bytes_freed)``.  A missing directory
+    removes nothing.  Races with concurrent writers are tolerated: a
+    file that disappears mid-scan is simply skipped, and a store
+    momentarily over budget is trimmed on the next call.
     """
-    if max_bytes is None:
-        return 0, 0
     entries: List[Tuple[float, int, Path]] = []
     for path in _entries(directory, suffix):
         try:

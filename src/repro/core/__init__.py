@@ -21,7 +21,7 @@ from .registry_machines import (
     unregister_machine,
 )
 from .rename_map import MapTableRenamer
-from .result import SimulationResult, average_ipc, build_result
+from .result import SimulationResult, build_result
 from .rob import ReorderBuffer
 from .sliq import LongLatencyTracker, SlowLaneQueue
 
@@ -53,7 +53,6 @@ __all__ = [
     "BaselinePipeline",
     "OoOCommitPipeline",
     "PipelineBase",
-    "average_ipc",
     "PseudoROB",
     "PhysicalPool",
     "PhysicalRegisterFile",

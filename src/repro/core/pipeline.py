@@ -350,8 +350,6 @@ class PipelineBase:
             target = head
         frontend = self.frontend
         if len(self.fetch_buffer) < self._fetch_buffer_cap and not frontend.exhausted:
-            if frontend.stalled:
-                return  # stall-mode front ends count per-cycle statistics
             resume = frontend.resume_cycle
             if resume <= horizon:
                 return
@@ -572,8 +570,7 @@ class PipelineBase:
             f"committed={self.committed}/{self.total_instructions}, "
             f"in_flight={in_flight}, int_iq={self.int_queue.occupancy}, "
             f"fp_iq={self.fp_queue.occupancy}, lsq={self.lsq.occupancy}, "
-            f"fetch_buffer={len(self.fetch_buffer)}, "
-            f"frontend_stalled={self.frontend.stalled}"
+            f"fetch_buffer={len(self.fetch_buffer)}"
         )
 
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common.config import ProcessorConfig
-from ..common.stats import StatsRegistry, arithmetic_mean, ratio
+from ..common.stats import StatsRegistry, ratio
 
 
 def _restore_int_keys(value: object) -> object:
@@ -207,8 +207,3 @@ def build_result(
         fetched_instructions=fetched,
         stats=stats.snapshot(),
     )
-
-
-def average_ipc(results: Iterable[SimulationResult]) -> float:
-    """Arithmetic-mean IPC across a suite (the paper averages SPEC2000fp)."""
-    return arithmetic_mean(result.ipc for result in results)

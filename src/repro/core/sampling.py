@@ -58,11 +58,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..branch import BranchTargetBuffer
 from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import ConfigurationError, SimulationError
-from ..common.eviction import evict_lru
 from ..common.stats import StatsRegistry, ratio
 from ..common.tracing import NULL_TRACER
 from ..memory.hierarchy import CacheHierarchy
-from ..trace.io import CHECKPOINT_SUFFIX, WarmCheckpoint
+from ..trace.io import WarmCheckpoint
 from ..trace.trace import Trace
 from . import warmstate
 from .registry_machines import create_pipeline, get_machine
@@ -320,17 +319,16 @@ def _warm_snapshots(
     segments: Sequence[Tuple[int, int, int]],
     tracer=NULL_TRACER,
     checkpoint_dir=None,
-    checkpoint_max_bytes: Optional[int] = None,
 ) -> Tuple[List[int], List[Dict[str, Any]], Dict[str, list]]:
     """Warm snapshots for every detailed region, checkpoint-aware.
 
     With a ``checkpoint_dir``, a checkpoint matching the sha256 key of
     ``(trace digest, plan, warm parameters, simulator version)`` is
     adopted instead of re-running the functional pass; a miss runs the
-    pass and persists it (evicting LRU files past
-    ``checkpoint_max_bytes``).  Returns ``(boundaries, snapshots,
-    warm_stats_dump)`` — the dump carries the pass's statistic
-    contributions so hit and miss runs produce identical results.
+    pass and persists it (only ``repro checkpoint gc`` evicts).  Returns
+    ``(boundaries, snapshots, warm_stats_dump)`` — the dump carries the
+    pass's statistic contributions so hit and miss runs produce
+    identical results.
     """
     expected = []
     position = 0
@@ -378,7 +376,6 @@ def _warm_snapshots(
         )
         with tracer.span("sampling:checkpoint-save", category="sampling", key=key):
             warmstate.store_checkpoint(checkpoint_dir, checkpoint)
-            evict_lru(checkpoint_dir, checkpoint_max_bytes, CHECKPOINT_SUFFIX)
     return boundaries, snapshots, warm_dump
 
 
@@ -388,7 +385,6 @@ def warm_checkpoint(
     plan: SamplingPlan,
     checkpoint_dir,
     *,
-    checkpoint_max_bytes: Optional[int] = None,
     tracer=None,
 ) -> Tuple["Path", str, bool]:
     """Build (or reuse) the warm checkpoint for ``(config, trace, plan)``.
@@ -414,15 +410,7 @@ def warm_checkpoint(
     effective = get_machine(config.mode).pipeline_class.effective_config(config)
     key = warmstate.checkpoint_key(trace.digest(), plan, effective)
     before = WARM_PASSES
-    _warm_snapshots(
-        effective,
-        trace,
-        plan,
-        segments,
-        tracer or NULL_TRACER,
-        checkpoint_dir,
-        checkpoint_max_bytes,
-    )
+    _warm_snapshots(effective, trace, plan, segments, tracer or NULL_TRACER, checkpoint_dir)
     return warmstate.checkpoint_path(checkpoint_dir, key), key, WARM_PASSES == before
 
 

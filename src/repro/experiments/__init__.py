@@ -9,11 +9,10 @@ from .figure11 import run_figure11
 from .figure12 import run_figure12
 from .figure13 import run_figure13
 from .figure14 import run_figure14
-from .registry import EXPERIMENTS, available_experiments, run_experiment
+from .registry import EXPERIMENTS, available_experiments
 from .runner import (
     DEFAULT_SCALE,
     ExperimentResult,
-    run_config,
     suite_ipc,
     suite_metric,
     suite_traces,
@@ -47,10 +46,8 @@ __all__ = [
     "run_figure14",
     "EXPERIMENTS",
     "available_experiments",
-    "run_experiment",
     "DEFAULT_SCALE",
     "ExperimentResult",
-    "run_config",
     "suite_ipc",
     "suite_metric",
     "suite_traces",

@@ -33,14 +33,3 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 def available_experiments() -> List[str]:
     """Names of every registered experiment."""
     return sorted(EXPERIMENTS)
-
-
-def run_experiment(name: str, **kwargs: object) -> ExperimentResult:
-    """Run one experiment by name (see :func:`available_experiments`)."""
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {', '.join(available_experiments())}"
-        ) from exc
-    return runner(**kwargs)

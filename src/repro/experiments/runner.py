@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.report import format_table
-from ..api import Simulation
-from ..common.config import ProcessorConfig
 from ..common.stats import arithmetic_mean
 from ..core.result import SimulationResult
 from ..trace.trace import Trace
@@ -63,14 +61,6 @@ def suite_traces(
     if list(built) != names:  # members were built out of suite order
         built = _TRACE_CACHE[key] = {name: built[name] for name in names}
     return built
-
-
-def run_config(
-    config: ProcessorConfig,
-    traces: Mapping[str, Trace],
-) -> Dict[str, SimulationResult]:
-    """Run one configuration over every trace of a suite."""
-    return Simulation(config).run_suite(traces)
 
 
 def suite_ipc(results: Mapping[str, SimulationResult]) -> float:

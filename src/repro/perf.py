@@ -9,13 +9,10 @@ on ~500-cycle main-memory loads — which is exactly where the
 event-driven cycle-skipping kernel pays off; the ``*-daxpy`` variants
 keep the fully-busy (no skippable cycles) path honest.
 
-Three entry points share this module:
-
-* ``repro bench`` — the CLI subcommand;
-* ``benchmarks/record.py`` — the standalone script;
-* ``benchmarks/test_bench_simulator_throughput.py`` — the pytest
-  benchmarks and the CI speedup guard, which import :data:`BENCHMARKS`
-  so all three always measure the same thing.
+``repro bench`` runs and records them;
+``benchmarks/test_bench_simulator_throughput.py`` (the pytest benchmarks
+and the CI speedup guard) imports :data:`BENCHMARKS`, so both always
+measure the same thing.
 
 Results append to ``BENCH_simulator.json`` (a JSON array, one entry per
 recording) via :func:`append_record`.
@@ -470,12 +467,7 @@ def compare_latest(
 
 
 def add_bench_arguments(parser) -> None:
-    """Attach the benchmark driver's arguments to an argparse parser.
-
-    Shared between the standalone driver (:func:`main`, used by
-    ``benchmarks/record.py``) and the ``repro bench`` subcommand, so
-    both expose the exact same interface.
-    """
+    """Attach the ``repro bench`` arguments to an argparse parser."""
     core_names = ", ".join(spec.name for spec in BENCHMARKS)
     xl_names = ", ".join(spec.name for spec in XL_BENCHMARKS)
     parser.add_argument(
@@ -564,14 +556,3 @@ def run_from_args(args) -> int:
         print(f"\nappended to {args.out} ({entry['timestamp']}, kernel={results[0]['kernel']})")
     return 0
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line driver shared by ``repro bench`` and benchmarks/record.py."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="run the simulator throughput benchmarks and record the results",
-    )
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -28,7 +28,7 @@ from .numerical import (
 from .registry import (
     SuiteSpec,
     WorkloadSpec,
-    build_workload,
+    get_suite,
     get_workload,
     register_suite,
     register_workload,
@@ -43,12 +43,8 @@ from .scenario import Phase, Scenario, interleave, stream_rng, stream_seed
 from .suite import (
     INTEGER_LIKE,
     SPEC2000FP_LIKE,
-    SUITES,
     Suite,
     SuiteMember,
-    get_suite,
-    integer_suite,
-    spec2000fp_like,
 )
 from . import catalog, scenarios  # noqa: F401  (registration side effects)
 
@@ -70,7 +66,7 @@ __all__ = [
     "stream_triad",
     "SuiteSpec",
     "WorkloadSpec",
-    "build_workload",
+    "get_suite",
     "get_workload",
     "register_suite",
     "register_workload",
@@ -87,10 +83,6 @@ __all__ = [
     "stream_seed",
     "INTEGER_LIKE",
     "SPEC2000FP_LIKE",
-    "SUITES",
     "Suite",
     "SuiteMember",
-    "get_suite",
-    "integer_suite",
-    "spec2000fp_like",
 ]

@@ -17,7 +17,7 @@ under a name::
         ...
 
 From that point on the workload behaves exactly like a built-in: it is
-buildable by name through :func:`get_workload`/:func:`build_workload`,
+buildable by name through ``get_workload(name).build(...)``,
 appears in ``repro workloads`` and ``repro simulate --workload``, and
 can be placed in registered suites — with zero edits to the engine, the
 CLI, or the sweep pipeline.
@@ -204,16 +204,6 @@ def get_workload(name: str) -> WorkloadSpec:
             f"unknown workload {name!r}; registered workloads: "
             f"{', '.join(sorted(_WORKLOADS))}"
         ) from exc
-
-
-def build_workload(
-    name: str,
-    size: Optional[int] = None,
-    scale: float = 1.0,
-    **overrides: object,
-) -> Trace:
-    """Resolve ``name`` in the registry and build its trace."""
-    return get_workload(name).build(size=size, scale=scale, **overrides)
 
 
 # ---------------------------------------------------------------------------

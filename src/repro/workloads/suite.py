@@ -2,16 +2,16 @@
 
 The experiment harness runs every configuration over a whole suite and
 averages IPC across its members, exactly as the paper averages over the
-SPEC2000fp applications.  :func:`spec2000fp_like` is the default suite
+SPEC2000fp applications.  :data:`SPEC2000FP_LIKE` is the default suite
 used by every figure; ``scale`` shrinks or grows every member so the
-benchmarks can trade fidelity against wall-clock time.
+benchmarks can trade fidelity against wall-clock time.  Suites resolve
+by name through :func:`repro.workloads.registry.get_suite`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..trace.trace import Trace
 from . import integer, numerical, registry
@@ -57,29 +57,12 @@ class Suite:
         return {member.name: member.build(scale) for member in self.members}
 
 
-def spec2000fp_like(scale: float = 1.0) -> Dict[str, Trace]:
-    """The default floating-point suite (SPEC2000fp stand-in).
-
-    Six kernels spanning the dependence/miss-rate spectrum:
-
-    * ``daxpy`` and ``triad`` — streaming, fully parallel (like swim/applu)
-    * ``stencil3`` — strided with reuse (like mgrid)
-    * ``reduction`` — serial FP chain (like the reductions in equake)
-    * ``gather`` — irregular indirect accesses (like the sparse codes)
-    * ``matvec`` — mixed reuse and reduction (like wupwise kernels)
-    * ``blocked`` — cache-blocked re-use, low miss rate (like the blocked solvers)
-    * ``fp_compute`` — compute bound, almost no memory traffic
-    """
-    return SPEC2000FP_LIKE.build(scale)
-
-
-def integer_suite(scale: float = 1.0) -> Dict[str, Trace]:
-    """The integer contrast suite (pointer chasing and hard branches)."""
-    return INTEGER_LIKE.build(scale)
-
-
-#: Canonical base member sizes: each member produces a few thousand
-#: dynamic instructions at scale 1.0 (roughly equal weight per member).
+#: The default floating-point suite (SPEC2000fp stand-in): streaming
+#: daxpy/triad (like swim/applu), strided stencil3 (mgrid), a serial FP
+#: reduction (equake), irregular gather (the sparse codes), matvec
+#: (wupwise), cache-blocked reuse and a compute-bound kernel.  Canonical
+#: base member sizes: each member produces a few thousand dynamic
+#: instructions at scale 1.0 (roughly equal weight per member).
 SPEC2000FP_LIKE = Suite(
     "spec2000fp_like",
     description="SPEC2000fp stand-in: streaming/strided FP loops, mostly L2-miss bound "
@@ -128,29 +111,3 @@ INTEGER_LIKE = Suite(
 registry.register_suite(SPEC2000FP_LIKE)
 registry.register_suite(INTEGER_LIKE)
 
-
-class _SuiteView(Mapping):
-    """Live read-only mapping view over the suite registry.
-
-    Kept so code written against the original module-level ``SUITES``
-    dict (``sorted(SUITES)``, ``SUITES.items()``) keeps working while
-    runtime-registered suites appear automatically.
-    """
-
-    def __getitem__(self, name: str) -> Suite:
-        return registry.get_suite(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registry.suite_names())
-
-    def __len__(self) -> int:
-        return len(registry.suite_names())
-
-
-#: Every registered suite, keyed by name (see :mod:`repro.workloads.registry`).
-SUITES: Mapping[str, Suite] = _SuiteView()
-
-
-def get_suite(name: str) -> Suite:
-    """Look up a registered suite by name (delegates to the registry)."""
-    return registry.get_suite(name)

@@ -308,20 +308,6 @@ class TestSimulationFacade:
         with pytest.raises(ValueError):
             api.Simulation(fast_baseline_config, progress_interval=0)
 
-    def test_run_many_with_explicit_traces(self, small_daxpy_trace):
-        configs = [
-            scaled_baseline(window=32, memory_latency=50),
-            scaled_baseline(window=64, memory_latency=50),
-        ]
-        messages = []
-        results = api.run_many(
-            configs, traces={"daxpy": small_daxpy_trace}, progress=messages.append
-        )
-        assert [config for config, _ in results] == configs
-        assert len(messages) == 2
-        for _, per_workload in results:
-            assert per_workload["daxpy"].committed_instructions == len(small_daxpy_trace)
-
     def test_run_many_suite_mode_matches_engine(self):
         config = scaled_baseline(window=64, memory_latency=100)
         results = api.run_many([config], scale=0.2, workloads=("daxpy",))
@@ -330,20 +316,6 @@ class TestSimulationFacade:
         spec = SweepSpec("reference", [config], scale=0.2, workloads=("daxpy",))
         reference = SweepEngine().run(spec).config_results(config)
         assert per_workload["daxpy"].ipc == reference["daxpy"].ipc
-
-    def test_run_many_rejects_probes_in_suite_mode(self):
-        with pytest.raises(ValueError, match="probes"):
-            api.run_many(
-                [scaled_baseline(window=64, memory_latency=100)], probes=[Probe()]
-            )
-
-    def test_run_many_rejects_jobs_with_explicit_traces(self, small_daxpy_trace):
-        with pytest.raises(ValueError, match="serially"):
-            api.run_many(
-                [scaled_baseline(window=64, memory_latency=100)],
-                traces={"daxpy": small_daxpy_trace},
-                jobs=2,
-            )
 
 
 class TestExceptionTraceProbes:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import WORKLOADS, build_machine, build_parser, main
+from repro.cli import build_machine, build_parser, main
+from repro.workloads.registry import workload_specs
 
 
 class TestParser:
@@ -20,8 +21,11 @@ class TestParser:
         assert "figure09" in out
 
     def test_unknown_experiment_rejected(self, capsys):
-        assert main(["experiment", "figure99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        # Names are checked before any experiment runs.
+        assert main(["sweep", "figure07", "figure99", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment 'figure99'" in captured.err
+        assert captured.out == ""
 
     def test_simulate_requires_workload_or_suite(self, capsys):
         assert main(["simulate", "--machine", "baseline"]) == 2
@@ -90,21 +94,24 @@ class TestSimulateCommand:
         assert "fp_compute" in payload["results"]
 
     def test_all_cli_workloads_are_generators(self):
-        for name, generator in WORKLOADS.items():
-            trace = generator(20)
-            assert len(trace) > 0, name
+        for spec in workload_specs():
+            trace = spec.build(size=20)
+            assert len(trace) > 0, spec.name
 
 
 class TestExperimentCommand:
+    """``repro sweep NAME`` regenerates one figure."""
+
     def test_runs_figure07(self, capsys, tmp_path):
         target = tmp_path / "fig07.json"
-        code = main(["experiment", "figure07", "--scale", "0.08", "--json", str(target)])
+        code = main(["sweep", "figure07", "--scale", "0.08", "--quiet",
+                     "--cache-dir", str(tmp_path / "cache"), "--json", str(target)])
         assert code == 0
         out = capsys.readouterr().out
         assert "figure07" in out
         payload = json.loads(target.read_text())
-        assert payload["experiment"] == "figure07"
-        assert payload["rows"]
+        assert list(payload["experiments"]) == ["figure07"]
+        assert payload["experiments"]["figure07"]["rows"]
 
 
 class TestWorkloadRegistryCli:
@@ -146,7 +153,7 @@ class TestWorkloadRegistryCli:
         assert "storm_even" in out
         assert "suite average IPC" in out
 
-    def test_workloads_view_is_live(self):
+    def test_workloads_view_is_live(self, capsys):
         from repro.workloads.registry import register_workload, unregister_workload
         from repro.workloads import daxpy
 
@@ -154,12 +161,17 @@ class TestWorkloadRegistryCli:
         def tmp(size):
             return daxpy(elements=max(4, size))
 
+        simulate = ["simulate", "--machine", "baseline", "--workload", "tmp_cli_view",
+                    "--size", "8", "--memory-latency", "100"]
         try:
-            assert "tmp_cli_view" in WORKLOADS
-            assert len(WORKLOADS["tmp_cli_view"](8)) > 0
+            assert main(["workloads"]) == 0
+            assert "tmp_cli_view" in capsys.readouterr().out
+            assert main(simulate) == 0
+            assert "tmp_cli_view" in capsys.readouterr().out
         finally:
             unregister_workload("tmp_cli_view")
-        assert "tmp_cli_view" not in WORKLOADS
+        assert main(simulate) == 2
+        assert "unknown workload 'tmp_cli_view'" in capsys.readouterr().err
 
 
 class TestSuiteSweepCli:
@@ -181,17 +193,26 @@ class TestSuiteSweepCli:
         assert "registered suites" in capsys.readouterr().err
 
     def test_experiment_unknown_suite_errors(self, capsys):
-        assert main(["experiment", "figure07", "--suite", "nope", "--no-cache"]) == 2
-        assert "registered suites" in capsys.readouterr().err
+        # 'all' expands to every figure; the bad suite still stops it up front.
+        assert main(["sweep", "all", "--suite", "nope", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert "registered suites" in captured.err
+        assert captured.out == ""
 
     def test_sweep_names_with_unknown_suite_errors(self, capsys):
         assert main(["sweep", "figure07", "--suite", "nope", "--no-cache", "--quiet"]) == 2
         assert "registered suites" in capsys.readouterr().err
 
-    def test_experiment_accepts_suite_override(self, capsys):
-        assert main(["experiment", "figure07", "--scale", "0.05",
-                     "--suite", "branch-storm", "--no-cache"]) == 0
-        assert "figure07" in capsys.readouterr().out
+    def test_experiment_accepts_suite_override(self, capsys, tmp_path):
+        rows = {}
+        for suite in ("branch-storm", None):
+            target = tmp_path / f"{suite}.json"
+            args = ["sweep", "figure07", "--scale", "0.05", "--no-cache", "--quiet",
+                    "--json", str(target)]
+            assert main(args + (["--suite", suite] if suite else [])) == 0
+            assert "figure07" in capsys.readouterr().out
+            rows[suite] = json.loads(target.read_text())["experiments"]["figure07"]["rows"]
+        assert rows["branch-storm"] != rows[None]
 
 
 class TestSampleFlagErrors:
@@ -253,6 +274,22 @@ class TestSampleFlagErrors:
         assert main(["simulate", "--workload", "daxpy", "--size", "200",
                      "--checkpoint-dir", str(ckpt)]) == 2
         assert "require --sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profile", "timeline"])
+    def test_cell_commands_write_checkpoint_dir(self, command, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main([command, "baseline:daxpy:3000", "--sample", "2000:300:200",
+                     "--checkpoint-dir", str(ckpt)]) == 0
+        assert len(list(ckpt.glob("*.warm.gz"))) == 1
+
+    @pytest.mark.parametrize("command", ["profile", "timeline"])
+    def test_cell_commands_reject_checkpoint_dir_without_sample(
+        self, command, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        assert main([command, "baseline:daxpy:200", "--checkpoint-dir", str(ckpt)]) == 2
+        assert "--checkpoint-dir requires --sample" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_sweep_has_no_sample_jobs_flag(self, capsys):
         """--jobs is the only parallelism knob of a sweep."""

@@ -10,7 +10,6 @@ import pytest
 from repro.experiments import (
     available_experiments,
     run_checkpoint_policy_ablation,
-    run_experiment,
     run_figure01,
     run_figure07,
     run_figure09,
@@ -21,7 +20,8 @@ from repro.experiments import (
     run_figure14,
     suite_traces,
 )
-from repro.experiments.runner import ExperimentResult, run_config, suite_ipc
+from repro.api import Simulation
+from repro.experiments.runner import ExperimentResult, suite_ipc
 from repro.common.config import scaled_baseline
 
 #: Tiny scale and a reduced workload list keep each figure under ~10 s.
@@ -39,9 +39,9 @@ class TestRunnerInfrastructure:
         traces = suite_traces(SCALE, workloads=("daxpy",))
         assert set(traces) == {"daxpy"}
 
-    def test_run_config_and_suite_ipc(self):
+    def test_run_suite_and_suite_ipc(self):
         traces = suite_traces(SCALE, workloads=("daxpy",))
-        results = run_config(scaled_baseline(window=64, memory_latency=100), traces)
+        results = Simulation(scaled_baseline(window=64, memory_latency=100)).run_suite(traces)
         assert set(results) == {"daxpy"}
         assert suite_ipc(results) > 0
 
@@ -62,9 +62,12 @@ class TestRunnerInfrastructure:
                        "figure12", "figure13", "figure14"):
             assert figure in names
 
-    def test_registry_rejects_unknown(self):
-        with pytest.raises(KeyError):
-            run_experiment("figure99")
+    def test_registry_rejects_unknown(self, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "figure99", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in available_experiments())
 
 
 class TestFigure01:

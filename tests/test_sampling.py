@@ -431,7 +431,7 @@ class TestWindowFailures:
 
 
 # ---------------------------------------------------------------------------
-# api / run_many / CLI threading
+# api / CLI threading
 # ---------------------------------------------------------------------------
 
 
@@ -450,13 +450,12 @@ class TestSamplingThreading:
                 stop_when=lambda p: True,
             )
 
-    def test_run_many_explicit_traces_sampled(self):
+    def test_run_suite_sampled(self):
         trace = daxpy(elements=2_000)
         plan = SamplingPlan(period=5_000, window=700, warmup=200)
-        results = api.run_many(
-            [small_baseline()], {"daxpy": trace}, sampling=plan
+        per_workload = api.Simulation(small_baseline(), sampling=plan).run_suite(
+            {"daxpy": trace}
         )
-        (config, per_workload), = results
         assert per_workload["daxpy"].sampled is True
 
     def test_run_many_suite_mode_sampled_and_cached(self, tmp_path):

@@ -280,7 +280,7 @@ class TestSweepCLI:
     def test_experiment_no_cache_flag(self, capsys):
         from repro.cli import main
 
-        code = main(["experiment", "figure07", "--scale", "0.08", "--no-cache"])
+        code = main(["sweep", "figure07", "--scale", "0.08", "--no-cache", "--quiet"])
         assert code == 0
         assert "figure07" in capsys.readouterr().out
 
@@ -308,9 +308,9 @@ class TestCacheKeyStability:
     def test_default_suite_traces_are_frozen(self):
         import hashlib
 
-        from repro.workloads.suite import spec2000fp_like
+        from repro.workloads.suite import SPEC2000FP_LIKE
 
-        traces = spec2000fp_like(scale=0.6)
+        traces = SPEC2000FP_LIKE.build(scale=0.6)
         blob = "\n".join(trace.to_jsonl() for trace in traces.values())
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         assert digest == "06396398d66aee5ea92979d3606bff1913063f01fe56b847c5c88c92c4168e58"

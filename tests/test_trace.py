@@ -15,7 +15,6 @@ from repro.workloads.builder import TraceBuilder
 from repro.workloads.integer import multi_pointer_chase
 from repro.workloads.numerical import daxpy
 from repro.workloads.registry import get_suite, suite_names
-from repro.workloads.suite import spec2000fp_like
 
 
 def make_trace(n=10):
@@ -145,7 +144,7 @@ class TestTraceDigest:
     def test_frozen_digests(self):
         traces = {
             "daxpy": daxpy(elements=50),
-            "gather": spec2000fp_like(0.05)["gather"],
+            "gather": get_suite("spec2000fp_like").build(0.05)["gather"],
             "multi_chase": multi_pointer_chase(hops=90, chains=4, seed=0),
         }
         for name, trace in traces.items():

@@ -310,27 +310,28 @@ class TestWarmSharing:
         """Configs differing only in timing knobs share one functional pass."""
         machines = [machine_config("baseline"), machine_config("cooo")]
         sampling_mod.WARM_PASSES = 0
-        results = api.run_many(
-            machines,
-            traces={trace.name: trace},
-            sampling=PLAN,
-            checkpoint_dir=tmp_path,
-        )
+        results = [
+            api.Simulation(config, sampling=PLAN, checkpoint_dir=tmp_path).run(trace)
+            for config in machines
+        ]
         assert sampling_mod.WARM_PASSES == 1, (
             "second machine should adopt the first machine's checkpoint"
         )
-        assert len(results) == 2
-        for config, by_name in results:
+        for config, result in zip(machines, results):
             bare = run_sampled(config, trace, PLAN)
-            assert by_name[trace.name].to_dict() == bare.to_dict()
+            assert result.to_dict() == bare.to_dict()
 
-    def test_checkpoint_dir_eviction_budget(self, trace, tmp_path):
-        """checkpoint_max_bytes (``checkpoint save --max-bytes``) caps the directory."""
+    def test_checkpoint_dir_eviction_budget(self, trace, tmp_path, capsys):
+        """``checkpoint gc --max-bytes`` caps a directory written by runs and saves."""
+        from repro.cli import main
+
         config = machine_config("baseline")
         run_sampled(config, trace, PLAN, checkpoint_dir=tmp_path)
-        assert list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
         other = SamplingPlan(period=5000, window=900, warmup=100)
-        warm_checkpoint(config, trace, other, tmp_path, checkpoint_max_bytes=1)
+        warm_checkpoint(config, trace, other, tmp_path)
+        assert len(list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))) == 2
+        assert main(["checkpoint", "gc", "--dir", str(tmp_path), "--max-bytes", "1"]) == 0
+        assert "evicted 2 checkpoint(s)" in capsys.readouterr().out
         remaining = list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
         assert len(remaining) == 0, "a 1-byte budget should evict everything"
 

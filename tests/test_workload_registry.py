@@ -7,7 +7,6 @@ from repro.trace.trace import Trace
 from repro.workloads import daxpy
 from repro.workloads.registry import (
     WorkloadSpec,
-    build_workload,
     get_suite,
     get_suite_spec,
     get_workload,
@@ -20,7 +19,7 @@ from repro.workloads.registry import (
     workload_names,
     workload_specs,
 )
-from repro.workloads.suite import SUITES, Suite, SuiteMember
+from repro.workloads.suite import Suite, SuiteMember
 
 BUILTIN_WORKLOADS = {
     "daxpy",
@@ -64,7 +63,7 @@ class TestWorkloadRegistry:
         assert "daxpy" in message  # the error enumerates registered names
 
     def test_build_by_name(self):
-        trace = build_workload("daxpy", size=32)
+        trace = get_workload("daxpy").build(size=32)
         assert isinstance(trace, Trace)
         assert trace.to_jsonl() == daxpy(elements=32).to_jsonl()
 
@@ -73,13 +72,13 @@ class TestWorkloadRegistry:
         assert len(spec.build(scale=0.1)) == len(spec.build(size=spec.base_size // 10))
 
     def test_knob_override(self):
-        a = build_workload("gather", size=64, seed=1)
-        b = build_workload("gather", size=64, seed=2)
+        a = get_workload("gather").build(size=64, seed=1)
+        b = get_workload("gather").build(size=64, seed=2)
         assert a.to_jsonl() != b.to_jsonl()
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(KeyError) as excinfo:
-            build_workload("gather", size=64, sneed=1)
+            get_workload("gather").build(size=64, sneed=1)
         assert "sneed" in str(excinfo.value)
         assert "seed" in str(excinfo.value)  # valid knobs are listed
 
@@ -90,7 +89,7 @@ class TestWorkloadRegistry:
 
         try:
             assert get_workload("tmp_registry_wl").description == "ephemeral"
-            assert len(build_workload("tmp_registry_wl", size=8)) > 0
+            assert len(get_workload("tmp_registry_wl").build(size=8)) > 0
         finally:
             unregister_workload("tmp_registry_wl")
         assert "tmp_registry_wl" not in workload_names()
@@ -150,12 +149,11 @@ class TestSuiteRegistry:
         member = SuiteMember("only", lambda n: daxpy(elements=max(4, n)), 64)
         register_suite(Suite("tmp-view-suite", [member]), description="ephemeral")
         try:
-            assert "tmp-view-suite" in SUITES
-            assert SUITES["tmp-view-suite"].names() == ["only"]
-            assert "tmp-view-suite" in sorted(SUITES)
+            assert "tmp-view-suite" in suite_names()
+            assert get_suite("tmp-view-suite").names() == ["only"]
         finally:
             unregister_suite("tmp-view-suite")
-        assert "tmp-view-suite" not in SUITES
+        assert "tmp-view-suite" not in suite_names()
 
     def test_register_suite_as_decorator(self):
         @register_suite(description="factory registered")

@@ -17,7 +17,6 @@ from repro.workloads import (
     random_gather,
     reduction,
     single_miss_probe,
-    spec2000fp_like,
     stencil3,
     stream_triad,
 )
@@ -153,7 +152,7 @@ class TestNewIntegerKernels:
 
 class TestSuites:
     def test_spec_suite_membership(self):
-        traces = spec2000fp_like(scale=0.1)
+        traces = SPEC2000FP_LIKE.build(scale=0.1)
         assert set(traces) == {
             "daxpy",
             "triad",
@@ -166,8 +165,8 @@ class TestSuites:
         }
 
     def test_scale_changes_size(self):
-        small = spec2000fp_like(scale=0.1)
-        large = spec2000fp_like(scale=0.3)
+        small = SPEC2000FP_LIKE.build(scale=0.1)
+        large = SPEC2000FP_LIKE.build(scale=0.3)
         assert all(len(large[name]) > len(small[name]) for name in small)
 
     def test_suite_lookup(self):
@@ -181,7 +180,7 @@ class TestSuites:
         assert len(INTEGER_LIKE) == 3
 
     def test_members_are_mostly_fp(self):
-        traces = spec2000fp_like(scale=0.1)
+        traces = SPEC2000FP_LIKE.build(scale=0.1)
         fp_heavy = 0
         for trace in traces.values():
             mix = trace.mix()
